@@ -24,7 +24,7 @@ from .cubic import (
     quad_form_from_matrix,
     quad_form_to_matrix,
 )
-from .divide import DivisionResult, divide, divide_monic_in_x, divides
+from .divide import DivisionResult, divide, divides
 from .parse import ParseError, parse_polynomial, to_text
 from .replay import ReplayReport, ReplayStep, expected_gradsq_parts, replay
 from .ring import (
@@ -57,7 +57,6 @@ __all__ = [
     "cube_root_cubic_form",
     "delta1",
     "divide",
-    "divide_monic_in_x",
     "divides",
     "expected_gradsq_parts",
     "generic_cubic",

@@ -143,6 +143,7 @@ class SweepHit:
     index: int
     polynomial: Polynomial
     hsq: Fraction
+    certificate: Polynomial
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,9 @@ def refutation_sweep(
 
     With ``degree=3`` every sampled polynomial is a cubic with nonzero
     degree-3 part; no admissible squared curvature should ever appear, and
-    any hit is returned verbatim for inspection.  With ``degree=2`` the
+    any hit is returned verbatim for inspection.  Every hit carries the
+    certificate ``p`` with ``p * f == defect``, re-multiplied by
+    :func:`check_cmc` before it is reported.  With ``degree=2`` the
     samples are spheres ``a * sum x_i^2 - b`` (a, b > 0), every one of
     which must be admissible; this is the positive control that the sweep
     machinery can find curvatures at all.
@@ -226,7 +229,10 @@ def refutation_sweep(
             f = radial * a - b
         hsq = solve_hsq(f)
         if hsq is not None:
-            hits.append(SweepHit(index=i, polynomial=f, hsq=hsq))
+            report = check_cmc(f, hsq)
+            if not report.divisible:
+                raise RingError(f"sweep sample {i}: solved hsq {hsq} fails to certify")
+            hits.append(SweepHit(i, f, hsq, report.certificate))
     return SweepReport(
         n=n,
         degree=degree,

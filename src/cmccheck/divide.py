@@ -6,29 +6,27 @@ no term of the remainder is divisible by the divisor's leading term, and
 itself does not depend on the order, so a zero remainder under any order
 is a proof, and :func:`divides` re-multiplies the quotient to certify it.
 
-:func:`divide_monic_in_x` is the cheaper layer-peeling variant for
-divisors whose leading coefficient in one distinguished variable is a
-nonzero rational constant.  There the remainder's degree in that variable
-drops below the divisor's, and division commutes with specializing the
-other variables.
+:func:`divide` takes leading terms from a heap of candidate monomials
+(Johnson 1974; Monagan & Pearce 2011) and reduces over the integers:
+both operands are cleared of denominators, and a working coefficient is a
+numerator over a power of the divisor's integer leading coefficient.
+``Fraction`` is built only for the quotient and remainder it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add as _add, sub as _sub
 from typing import Optional
 
-from .ring import Polynomial, RingError
+from .ring import _DESC_KEYS, Polynomial, RingError
 
 
 class ZeroDivisorError(RingError):
     """Division by the zero polynomial."""
-
-
-class NonConstantLeadError(RingError):
-    """Layer division requires a rational constant leading coefficient."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +56,10 @@ def _divisible_mono(m: tuple[int, ...], lead: tuple[int, ...]) -> bool:
     return True
 
 
+def _denominator_lcm(p: Polynomial) -> int:
+    return math.lcm(*(c.denominator for _, c in p.terms()))
+
+
 def divide(
     g: Polynomial, f: Polynomial, order: Optional[str] = None
 ) -> DivisionResult:
@@ -67,35 +69,52 @@ def divide(
     if f.is_zero:
         raise ZeroDivisorError("division by the zero polynomial")
     tag = order or default_order(g.ctx)
-    key = g.ctx.monomial_key(tag)
     lead_f = f.leading_monomial(tag)
-    lc_f = f.coefficient(lead_f)
-    ftems = list(f.terms())
-    guard = g.ctx.exponent_guard
-    guarded = g.max_exponent() + f.max_exponent() > guard
+    heap_key = _DESC_KEYS[tag]
+    guarded = g.max_exponent() + f.max_exponent() > g.ctx.exponent_guard
 
-    work = dict(g.terms())
+    # Divide G = dg*g by F = df*f; then q = Q*df/dg and r = R/dg.  A working
+    # term (a, k) stands for a / L**k, where L is F's leading coefficient.
+    # F's leading term is left out of ``ftems``: it cancels each lead exactly.
+    dg, df = _denominator_lcm(g), _denominator_lcm(f)
+    lc_f = f.coefficient(lead_f)
+    powers = [1, lc_f.numerator * (df // lc_f.denominator)]
+    ftems = [
+        (m, c.numerator * (df // c.denominator)) for m, c in f.terms() if m != lead_f
+    ]
+    work = {m: (c.numerator * (dg // c.denominator), 0) for m, c in g.terms()}
+    # Every monomial in ``work`` has exactly one heap entry; a term that
+    # cancels stays in ``work`` with numerator 0 and is skipped when popped.
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
     quotient: dict[tuple[int, ...], Fraction] = {}
     remainder: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lead = max(work, key=key)
-        if not _divisible_mono(lead, lead_f):
-            remainder[lead] = work.pop(lead)
+    while heap:
+        lead = heappop(heap)[1]
+        a, k = work.pop(lead)
+        if not a:
             continue
+        if not _divisible_mono(lead, lead_f):
+            remainder[lead] = Fraction(a, powers[k] * dg)
+            continue
+        k += 1
+        if k == len(powers):
+            powers.append(powers[-1] * powers[1])
         qm = tuple(map(_sub, lead, lead_f))
-        qc = work[lead] / lc_f
-        prev = quotient.get(qm)
-        quotient[qm] = qc if prev is None else prev + qc
+        quotient[qm] = Fraction(a * df, powers[k] * dg)
         for m, c in ftems:
             mm = tuple(map(_add, qm, m))
             if guarded:
                 g.ctx.check_monomial(mm)
-            acc = work.get(mm)
-            nv = -qc * c if acc is None else acc - qc * c
-            if nv:
-                work[mm] = nv
+            prev = work.get(mm)
+            if prev is None:
+                heappush(heap, (heap_key(mm), mm))
+                prev = (0, k)
+            b, j = prev
+            if j < k:
+                work[mm] = (b * powers[k - j] - a * c, k)
             else:
-                work.pop(mm, None)
+                work[mm] = (b - a * c * powers[j - k], j)
     return DivisionResult(
         Polynomial(g.ctx, quotient, _clean=True),
         Polynomial(g.ctx, remainder, _clean=True),
@@ -118,46 +137,3 @@ def divides(
             raise RingError("division produced an inconsistent certificate")
         return DivisibilityVerdict(True, result.quotient, None)
     return DivisibilityVerdict(False, None, result.remainder)
-
-
-def divide_monic_in_x(g: Polynomial, f: Polynomial, name: str) -> DivisionResult:
-    """Divide by a polynomial whose top layer in ``name`` is constant.
-
-    Precondition: the coefficient of the highest power of ``name`` in
-    ``f`` is a nonzero rational constant.  The remainder then has strictly
-    smaller degree in ``name`` than ``f``, and the identity
-    ``g = q*f + r`` specializes correctly under any substitution of the
-    remaining variables.
-    """
-    if g.ctx != f.ctx:
-        raise RingError("dividend and divisor belong to different ring contexts")
-    if f.is_zero:
-        raise ZeroDivisorError("division by the zero polynomial")
-    ctx = g.ctx
-    i = ctx.index(name)
-    dxf = max(m[i] for m in f.monomials())
-    lead_terms = [(m, c) for m, c in f.terms() if m[i] == dxf]
-    if len(lead_terms) != 1 or any(
-        e for j, e in enumerate(lead_terms[0][0]) if j != i
-    ):
-        raise NonConstantLeadError(
-            f"leading {name}-coefficient of the divisor is not a rational constant"
-        )
-    lc = lead_terms[0][1]
-
-    quotient = Polynomial.zero(ctx)
-    rest = g
-    while not rest.is_zero:
-        d = max(m[i] for m in rest.monomials())
-        if d < dxf:
-            break
-        layer = {}
-        for m, c in rest.terms():
-            if m[i] == d:
-                mm = list(m)
-                mm[i] = d - dxf
-                layer[tuple(mm)] = c / lc
-        q = Polynomial(ctx, layer, _clean=True)
-        quotient = quotient + q
-        rest = rest - q * f
-    return DivisionResult(quotient, rest, f"{name}-layer")

@@ -49,7 +49,7 @@ from .cubic import (
     quad_form_from_matrix,
     quad_form_to_matrix,
 )
-from .divide import NonConstantLeadError, divide, divide_monic_in_x
+from .divide import divide
 from .ring import ExponentLimitError, Polynomial, RingContext, RingError
 
 MUTATIONS = ("cubic-part", "defect-sign")
@@ -181,13 +181,10 @@ def expected_delta1_expansion(n: int) -> Polynomial:
 
 
 def _exact_quotient(
-    dividend: Polynomial, divisor: Polynomial, name: str
+    dividend: Polynomial, divisor: Polynomial
 ) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder, preferring the constant-lead layer division."""
-    try:
-        res = divide_monic_in_x(dividend, divisor, name)
-    except NonConstantLeadError:
-        res = divide(dividend, divisor, "lex")
+    """Lex quotient and remainder, with the identity re-checked."""
+    res = divide(dividend, divisor, "lex")
     if res.quotient * divisor + res.remainder != dividend:
         raise RingError("cascade division produced an inconsistent identity")
     return res.quotient, res.remainder
@@ -292,19 +289,19 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         f2 = f.homogeneous_part(2)
         f3 = f.homogeneous_part(3)
         cascade_residual = None
-        p9, rem = _exact_quotient(dpart[12], f3, "x1")
+        p9, rem = _exact_quotient(dpart[12], f3)
         if not rem.is_zero:
             cascade_residual = rem
         expected_p9 = p.ht * p.ht * x**9 * 729
         if cascade_residual is None and p9 != expected_p9:
             cascade_residual = p9 - expected_p9
-        p8, rem = _exact_quotient(dpart[11] - p9 * f2, f3, "x1")
+        p8, rem = _exact_quotient(dpart[11] - p9 * f2, f3)
         if cascade_residual is None and not rem.is_zero:
             cascade_residual = rem
-        p7, rem = _exact_quotient(dpart[10] - p8 * f2 - p9 * f1, f3, "x1")
+        p7, rem = _exact_quotient(dpart[10] - p8 * f2 - p9 * f1, f3)
         if cascade_residual is None and not rem.is_zero:
             cascade_residual = rem
-        p6, rem = _exact_quotient(dpart[9] - p7 * f2 - p8 * f1, f3, "x1")
+        p6, rem = _exact_quotient(dpart[9] - p7 * f2 - p8 * f1, f3)
         if cascade_residual is None and not rem.is_zero:
             cascade_residual = rem
         if cascade_residual is None:

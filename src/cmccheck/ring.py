@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, neg as _neg
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -76,6 +76,13 @@ def lex_key(mono: tuple[int, ...]) -> tuple:
 
 
 _ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
+
+# Descending keys (each component of the ascending key negated), so that a
+# min-heap pops the leading monomial first.
+_DESC_KEYS = {
+    "grevlex": lambda mono: (-sum(mono), mono[::-1]),
+    "lex": lambda mono: tuple(map(_neg, mono)),
+}
 
 
 @dataclass(frozen=True)

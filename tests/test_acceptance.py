@@ -13,6 +13,7 @@ from fractions import Fraction
 from cmccheck.calculus import grad_norm_sq, symbolic_defect
 from cmccheck.cmc import check_cmc, refutation_sweep
 from cmccheck.cubic import generic_cubic
+from cmccheck.divide import divide
 from cmccheck.replay import replay
 from cmccheck.ring import Polynomial, RingContext
 from conftest import SCOREBOARD
@@ -224,5 +225,14 @@ def test_criterion_8_performance_floor():
     defect = symbolic_defect(f)
     defect_elapsed = time.perf_counter() - started
     ok = ok and defect_elapsed < 30.0 and defect.degree_in("x1") == 12
+
+    started = time.perf_counter()
+    division = divide(defect, f, "lex")
+    divide_elapsed = time.perf_counter() - started
+    ok = ok and divide_elapsed < 5.0
+    ok = ok and division.quotient * f + division.remainder == defect
     report(8, "performance floor", ok)
-    assert ok, f"multiply {mul_elapsed:.3f}s, defect {defect_elapsed:.3f}s"
+    assert ok, (
+        f"multiply {mul_elapsed:.3f}s, defect {defect_elapsed:.3f}s, "
+        f"divide {divide_elapsed:.3f}s"
+    )

@@ -195,6 +195,21 @@ def test_sweep_degree_two_control_all_admissible():
         assert check_cmc(hit.polynomial, hit.hsq).divisible
 
 
+def test_sweep_hits_carry_certificates():
+    report = refutation_sweep(3, count=15, coeff_bound=5, seed=9, degree=2)
+    assert report.admissible_count == 15
+    for hit in report.admissible:
+        defect = cmc_defect(hit.polynomial, hit.hsq)
+        assert hit.certificate * hit.polynomial == defect
+
+
+def test_sweep_rejects_hit_that_fails_to_certify(monkeypatch):
+    # A wrong curvature from the solver must not become a reported hit.
+    monkeypatch.setattr("cmccheck.cmc.solve_hsq", lambda f: Fraction(1))
+    with pytest.raises(RingError, match="fails to certify"):
+        refutation_sweep(3, count=1, coeff_bound=5, seed=0)
+
+
 def test_sweep_is_deterministic_in_the_seed():
     one = refutation_sweep(3, count=10, coeff_bound=3, seed=5)
     two = refutation_sweep(3, count=10, coeff_bound=3, seed=5)

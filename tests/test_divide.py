@@ -3,19 +3,16 @@ import random
 import pytest
 from fractions import Fraction
 
-from cmccheck.divide import (
-    NonConstantLeadError,
-    ZeroDivisorError,
-    divide,
-    divide_monic_in_x,
-    divides,
-)
+from cmccheck.divide import ZeroDivisorError, divide, divides
 from cmccheck.parse import parse_polynomial
-from cmccheck.ring import Polynomial, RingContext, RingError
+from cmccheck.ring import ExponentLimitError, Polynomial, RingContext, RingError
 from oracles import (
     check_certificates,
     check_division_identity,
     check_remainder_uniqueness,
+    raw,
+    raw_add,
+    raw_mul,
     random_point,
     random_polynomial,
 )
@@ -79,8 +76,6 @@ def test_zero_dividend_and_zero_divisor():
     assert res.quotient.is_zero and res.remainder.is_zero
     with pytest.raises(ZeroDivisorError):
         divide(f, Polynomial.zero(CTX))
-    with pytest.raises(ZeroDivisorError):
-        divide_monic_in_x(f, Polynomial.zero(CTX), "x1")
 
 
 def test_context_mismatch():
@@ -89,29 +84,52 @@ def test_context_mismatch():
         divide(parse("x1"), Polynomial.variable(other, "x1"))
 
 
+def test_unknown_order_is_rejected():
+    with pytest.raises(RingError):
+        divide(parse("x1^2"), parse("x1"), "bogus")
+
+
+def test_exponent_guard_is_enforced():
+    ctx = RingContext(("x1", "x2"), 2, exponent_guard=10)
+    g = parse_polynomial("x1*x2", ctx)
+    f = parse_polynomial("x1 + x2^10", ctx)
+    with pytest.raises(ExponentLimitError):
+        divide(g, f, "lex")  # quotient term x2 times x2^10 overshoots
+
+
+def test_deep_reduction_with_rational_lead():
+    # A degree-12 dividend against a non-unit rational lead: each working
+    # coefficient sits over a power of the lead well past the tenth.
+    g = parse("(x1 + 2*x2 - x3 + 1/3)^12 + x2^7*x3^5 - 4/9*x1^3*x3")
+    f = parse("(3/2)*x1 - (5/7)*x2 + 1")
+    for order in ("lex", "grevlex"):
+        res = divide(g, f, order)
+        assert raw_add(raw_mul(raw(res.quotient), raw(f)), raw(res.remainder)) == raw(g)
+        assert not res.remainder.is_zero
+        lead = f.leading_monomial(order)
+        for mono in res.remainder.monomials():
+            assert any(a < b for a, b in zip(mono, lead))
+
+
 def test_monic_layer_division():
+    # Lex with x1 first makes x1^3 the lead of an x1-monic divisor, so the
+    # remainder drops below x1-degree 3: the layer-by-layer division.
     g = parse("x1^5 + x1^2*x2 + x2^3")
     f = parse("x1^3 + x2")
-    res = divide_monic_in_x(g, f, "x1")
+    res = divide(g, f, "lex")
     assert res.quotient * f + res.remainder == g
     assert res.remainder.degree_in("x1") < 3
-    exact = divide_monic_in_x(parse("x1^6 + 2*x1^3*x2 + x2^2"), f, "x1")
+    exact = divide(parse("x1^6 + 2*x1^3*x2 + x2^2"), f, "lex")
     assert exact.remainder.is_zero
     assert exact.quotient == f
 
 
-def test_monic_requires_constant_lead():
-    f = parse("x1*x2 + 1")  # leading x1-coefficient is x2
-    with pytest.raises(NonConstantLeadError):
-        divide_monic_in_x(parse("x1^2"), f, "x1")
-    scaled = parse("2*x1^3 + x2")  # constant 2 is fine
-    res = divide_monic_in_x(parse("x1^3"), scaled, "x1")
-    assert res.quotient == Polynomial.constant(CTX, Fraction(1, 2))
-
-
 def test_monic_agrees_with_lex_divide_on_exactness():
+    # For an x1-monic divisor, q*f + r with deg_x1(r) < deg_x1(f) is the
+    # unique layer division; lex division must return exactly that pair.
     rng = random.Random(37)
     x = Polynomial.variable(CTX, "x1")
+    checked = 0
     for _ in range(100):
         low = random_polynomial(rng, CTX, max_degree=2, max_terms=3)
         f = x**3 + low  # monic of x-degree 3 when low has smaller x-degree
@@ -119,10 +137,13 @@ def test_monic_agrees_with_lex_divide_on_exactness():
             [m for m in f.monomials() if m[0] == 3]
         ) != 1:
             continue
-        g = random_polynomial(rng, CTX, max_degree=5, max_terms=6)
-        lex_zero = divide(g, f, "lex").remainder.is_zero
-        monic_zero = divide_monic_in_x(g, f, "x1").remainder.is_zero
-        assert lex_zero == monic_zero
+        h = random_polynomial(rng, CTX, max_degree=3, max_terms=4)
+        r = random_polynomial(rng, CTX, max_degree=4, max_terms=4)
+        r = Polynomial(CTX, {m: c for m, c in r.terms() if m[0] < 3})
+        res = divide(h * f + r, f, "lex")
+        assert res.quotient == h and res.remainder == r
+        checked += 1
+    assert checked > 50
 
 
 def test_monic_division_commutes_with_specialization():
@@ -136,7 +157,7 @@ def test_monic_division_commutes_with_specialization():
         ) != 1 or any(m[0] == 2 and any(m[1:]) for m in f.monomials()):
             continue
         g = random_polynomial(rng, CTXP, max_degree=4, max_terms=5)
-        res = divide_monic_in_x(g, f, "x1")
+        res = divide(g, f, "lex")
         point = random_point(rng, CTXP)
         binding = {name: point[name] for name in ("x2", "a", "b")}
         gs = g.substitute(binding)
@@ -145,7 +166,7 @@ def test_monic_division_commutes_with_specialization():
         rs = res.remainder.substitute(binding)
         assert qs * fs + rs == gs
         # and the specialized division itself returns the same pair
-        again = divide_monic_in_x(gs, fs, "x1")
+        again = divide(gs, fs, "lex")
         assert again.quotient == qs and again.remainder == rs
 
 
