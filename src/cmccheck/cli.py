@@ -19,7 +19,7 @@ from typing import Optional
 from .calculus import cmc_defect
 from .cmc import check_cmc, make_surface, refutation_sweep, solve_hsq
 from .cubic import cube_root_cubic_form
-from .parse import ParseError, parse_polynomial, to_text
+from .parse import parse_polynomial, to_text
 from .replay import replay
 from .ring import Polynomial, RingContext, RingError
 
@@ -39,12 +39,18 @@ def _context(nvars: int) -> RingContext:
     return RingContext.geometric(nvars)
 
 
-def _clip(f: Optional[Polynomial], full: bool) -> Optional[str]:
+def _clip(
+    f: Optional[Polynomial], full: bool, text: Optional[str] = None
+) -> Optional[str]:
+    """Display text of ``f``, or a placeholder past the term cap.
+
+    ``text`` is ``f`` already printed, when the caller has it.
+    """
     if f is None:
         return None
     if not full and len(f) > TERM_CAP:
         return f"<{len(f)} terms; rerun with --full to print>"
-    return to_text(f)
+    return to_text(f) if text is None else text
 
 
 def _text(f: Optional[Polynomial]) -> Optional[str]:
@@ -55,21 +61,15 @@ def _fr(value: Optional[Fraction]) -> Optional[str]:
     return None if value is None else str(value)
 
 
-def _emit_json(command: str, inputs: dict, result: dict) -> None:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
+# Each returns ``(inputs, result, exit_code, text_lines)``; :func:`main`
+# prints either the JSON envelope of inputs and result or the text lines.
+_Output = tuple[dict, dict, int, list[str]]
 
-def cmd_check(args: argparse.Namespace) -> int:
+
+def cmd_check(args: argparse.Namespace) -> _Output:
     ctx = _context(args.vars)
     f = parse_polynomial(args.poly, ctx)
     inputs = {"polynomial": to_text(f), "vars": args.vars, "hsq": args.hsq}
@@ -85,11 +85,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "witness_remainder": None,
                 "warnings": [],
             }
-            if args.json:
-                _emit_json("check", inputs, result)
-            else:
-                print("no admissible squared curvature exists for this polynomial")
-            return 1
+            lines = ["no admissible squared curvature exists for this polynomial"]
+            return inputs, result, 1, lines
     else:
         hsq = _rational(args.hsq)
     report = check_cmc(f, hsq)
@@ -101,23 +98,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         "witness_remainder": _text(report.witness_remainder),
         "warnings": list(report.warnings),
     }
-    if args.json:
-        _emit_json("check", inputs, result)
+    lines = [
+        f"polynomial: {inputs['polynomial']}",
+        f"hsq: {result['hsq']}" + (" (solved)" if solved else ""),
+    ]
+    if report.divisible:
+        cert = _clip(report.certificate, args.full, result["certificate"])
+        lines += ["verdict: divisible (algebraic CMC condition holds)",
+                  f"certificate: {cert}"]
     else:
-        print(f"polynomial: {to_text(f)}")
-        print(f"hsq: {report.hsq}" + (" (solved)" if solved else ""))
-        if report.divisible:
-            print("verdict: divisible (algebraic CMC condition holds)")
-            print(f"certificate: {_clip(report.certificate, args.full)}")
-        else:
-            print("verdict: not divisible")
-            print(f"witness remainder: {_clip(report.witness_remainder, args.full)}")
-        for w in report.warnings:
-            print(f"warning: {w}")
-    return 0 if report.divisible else 1
+        rem = _clip(report.witness_remainder, args.full, result["witness_remainder"])
+        lines += ["verdict: not divisible", f"witness remainder: {rem}"]
+    lines += [f"warning: {w}" for w in report.warnings]
+    return inputs, result, 0 if report.divisible else 1, lines
 
 
-def cmd_defect(args: argparse.Namespace) -> int:
+def cmd_defect(args: argparse.Namespace) -> _Output:
     ctx = _context(args.vars)
     f = parse_polynomial(args.poly, ctx)
     hsq = _rational(args.hsq)
@@ -129,15 +125,14 @@ def cmd_defect(args: argparse.Namespace) -> int:
         "terms": len(d),
         "total_degree": None if d.is_zero else int(degree),
     }
-    if args.json:
-        _emit_json("defect", inputs, result)
-    else:
-        print(f"defect: {_clip(d, args.full)}")
-        print(f"terms: {len(d)}, total degree: {result['total_degree']}")
-    return 0
+    lines = [
+        f"defect: {_clip(d, args.full, result['defect'])}",
+        f"terms: {len(d)}, total degree: {result['total_degree']}",
+    ]
+    return inputs, result, 0, lines
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> _Output:
     ctx = _context(args.vars)
     f = parse_polynomial(args.poly, ctx)
     inputs = {"polynomial": to_text(f), "vars": args.vars}
@@ -147,33 +142,22 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             part = f.homogeneous_part(k)
             if not part.is_zero:
                 parts[str(k)] = to_text(part)
-    if args.json:
-        _emit_json("decompose", inputs, {"parts": parts})
-    else:
-        if not parts:
-            print("0")
-        for k in sorted(parts, key=int):
-            print(f"degree {k}: {parts[k]}")
-    return 0
+    lines = [f"degree {k}: {parts[k]}" for k in sorted(parts, key=int)] or ["0"]
+    return inputs, {"parts": parts}, 0, lines
 
 
-def cmd_cube_test(args: argparse.Namespace) -> int:
+def cmd_cube_test(args: argparse.Namespace) -> _Output:
     ctx = _context(args.vars)
     f = parse_polynomial(args.poly, ctx)
     inputs = {"polynomial": to_text(f), "vars": args.vars}
     root = cube_root_cubic_form(f)
     result = {"is_cube": root is not None, "root": _text(root)}
-    if args.json:
-        _emit_json("cube-test", inputs, result)
-    else:
-        if root is None:
-            print("not the cube of a linear form")
-        else:
-            print(f"cube root: {to_text(root)}")
-    return 0 if root is not None else 1
+    if root is None:
+        return inputs, result, 1, ["not the cube of a linear form"]
+    return inputs, result, 0, [f"cube root: {result['root']}"]
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
+def cmd_surface(args: argparse.Namespace) -> _Output:
     rsq = _rational(args.rsq)
     f, hsq, certificate = make_surface(args.kind, args.n, rsq)
     inputs = {"kind": args.kind, "n": args.n, "rsq": args.rsq}
@@ -189,22 +173,21 @@ def cmd_surface(args: argparse.Namespace) -> int:
         "certificate": _text(certificate),
         "verified": verified,
     }
-    if args.json:
-        _emit_json("surface", inputs, result)
-    else:
-        print(f"polynomial: {to_text(f)}")
-        print(f"hsq: {hsq if hsq is not None else 'none admissible'}")
-        if certificate is not None:
-            print(f"certificate: {_clip(certificate, args.full)}")
-        print(f"verified: {'yes' if verified else 'no'}")
-    return 0 if verified else 1
+    lines = [
+        f"polynomial: {result['polynomial']}",
+        f"hsq: {hsq if hsq is not None else 'none admissible'}",
+    ]
+    if certificate is not None:
+        cert = _clip(certificate, args.full, result["certificate"])
+        lines.append(f"certificate: {cert}")
+    lines.append(f"verified: {'yes' if verified else 'no'}")
+    return inputs, result, 0 if verified else 1, lines
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise RingError("replay needs dimension n >= 3")
     report = replay(args.n)
-    inputs = {"n": args.n}
     steps = [
         {
             "name": s.name,
@@ -223,24 +206,24 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "residual": _text(report.delta1_expansion_residual),
         },
     }
-    if args.json:
-        _emit_json("replay", inputs, result)
-    else:
-        print(f"replaying the cubic nonexistence chain for n = {args.n}")
-        for i, s in enumerate(report.steps, start=1):
-            line = f"step {i} {s.name}: {s.status}"
-            if s.detail:
-                line += f" ({s.detail})"
-            print(line)
-            if s.residual is not None:
-                print(f"  residual: {_clip(s.residual, args.full)}")
-        note = "matches" if report.delta1_expansion_matches else "differs"
-        print(f"printed delta1 expansion {note} (informational)")
-        print(f"overall: {report.overall}")
-    return 0 if report.passed else 1
+    lines = [f"replaying the cubic nonexistence chain for n = {args.n}"]
+    for i, (s, step) in enumerate(zip(report.steps, steps), start=1):
+        line = f"step {i} {s.name}: {s.status}"
+        if s.detail:
+            line += f" ({s.detail})"
+        lines.append(line)
+        if s.residual is not None:
+            residual = _clip(s.residual, args.full, step["residual"])
+            lines.append(f"  residual: {residual}")
+    note = "matches" if report.delta1_expansion_matches else "differs"
+    lines += [
+        f"printed delta1 expansion {note} (informational)",
+        f"overall: {report.overall}",
+    ]
+    return {"n": args.n}, result, 0 if report.passed else 1, lines
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> _Output:
     report = refutation_sweep(
         args.n, args.count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
     )
@@ -260,19 +243,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for h in report.admissible
     ]
     result = {"admissible_count": report.admissible_count, "admissible": hits}
-    if args.json:
-        _emit_json("sweep", inputs, result)
-    else:
-        print(
-            f"sweep: n={args.n} degree={args.degree} count={args.count} "
-            f"bound={args.bound} seed={args.seed}"
-        )
-        print(f"admissible: {report.admissible_count} of {args.count}")
-        for h in report.admissible:
-            print(f"  [{h.index}] hsq={h.hsq}: {to_text(h.polynomial)}")
+    lines = [
+        f"sweep: n={args.n} degree={args.degree} count={args.count} "
+        f"bound={args.bound} seed={args.seed}",
+        f"admissible: {report.admissible_count} of {args.count}",
+    ]
+    lines += [f"  [{h['index']}] hsq={h['hsq']}: {h['polynomial']}" for h in hits]
     if args.degree == 3:
-        return 0 if report.admissible_count == 0 else 1
-    return 0 if report.admissible_count == args.count else 1
+        code = 0 if report.admissible_count == 0 else 1
+    else:
+        code = 0 if report.admissible_count == args.count else 1
+    return inputs, result, code, lines
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +339,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, RingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        inputs, result, code, lines = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
+        # ParseError and RingError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+        }
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -18,12 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .calculus import dot
 from .ring import Polynomial, RingContext, RingError
 
 
 @dataclass(frozen=True)
 class GenericCubicSpec:
-    """Names of the symbolic coefficients of a generic cubic."""
+    """The symbolic pieces of a generic cubic: names and atom polynomials.
+
+    ``x`` is x1 and ``y`` is (x2..xn); ``A`` is the full symmetric grid of
+    matrix entries, ``r`` and ``s`` the parameter vectors, ``k0``, ``k1``
+    the scalars and ``ht`` the folded curvature parameter Ht, each the
+    variable polynomial of its name.
+    """
 
     n: int
     matrix_names: tuple[tuple[str, ...], ...]  # full (n-1) x (n-1) symmetric grid
@@ -32,10 +39,14 @@ class GenericCubicSpec:
     k0_name: str
     k1_name: str
     curvature_name: str
-
-    @property
-    def y_count(self) -> int:
-        return self.n - 1
+    x: Polynomial
+    y: tuple[Polynomial, ...]
+    A: tuple[tuple[Polynomial, ...], ...]
+    r: tuple[Polynomial, ...]
+    s: tuple[Polynomial, ...]
+    k0: Polynomial
+    k1: Polynomial
+    ht: Polynomial
 
 
 def matrix_entry_name(i: int, j: int) -> str:
@@ -48,9 +59,9 @@ def matrix_entry_name(i: int, j: int) -> str:
 def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     """Generic cubic in normal form over a fresh parameter ring.
 
-    Returns the polynomial and the parameter-name spec.  The context has
-    geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by the
-    parameters a_ij (i <= j), r_i, s_i, k0, k1 and Ht, under lex order.
+    Returns the polynomial and its spec of names and atoms.  The context
+    has geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by
+    the parameters a_ij (i <= j), r_i, s_i, k0, k1 and Ht, under lex order.
     """
     if n < 3:
         raise RingError("generic cubic needs dimension n >= 3")
@@ -63,37 +74,38 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
         a_names + r_names + s_names + ["k0", "k1", "Ht"],
         order="lex",
     )
-    x = Polynomial.variable(ctx, "x1")
-    y = [Polynomial.variable(ctx, f"x{i}") for i in range(2, n + 1)]
-    a = [
-        [Polynomial.variable(ctx, matrix_entry_name(i, j)) for j in range(1, m + 1)]
+    matrix_names = tuple(
+        tuple(matrix_entry_name(i, j) for j in range(1, m + 1))
         for i in range(1, m + 1)
-    ]
-    r = [Polynomial.variable(ctx, name) for name in r_names]
-    s = [Polynomial.variable(ctx, name) for name in s_names]
-    k0 = Polynomial.variable(ctx, "k0")
-    k1 = Polynomial.variable(ctx, "k1")
+    )
 
-    quad = Polynomial.zero(ctx)
-    for i in range(m):
-        for j in range(m):
-            quad = quad + a[i][j] * y[i] * y[j]
-    r_dot_y = sum((ri * yi for ri, yi in zip(r, y)), Polynomial.zero(ctx))
-    s_dot_y = sum((si * yi for si, yi in zip(s, y)), Polynomial.zero(ctx))
+    def atoms(names):
+        return tuple(Polynomial.variable(ctx, name) for name in names)
 
-    f = x**3 + quad + k0 * x**2 + r_dot_y * x + k1 * x + s_dot_y
     spec = GenericCubicSpec(
         n=n,
-        matrix_names=tuple(
-            tuple(matrix_entry_name(i, j) for j in range(1, m + 1))
-            for i in range(1, m + 1)
-        ),
+        matrix_names=matrix_names,
         r_names=tuple(r_names),
         s_names=tuple(s_names),
         k0_name="k0",
         k1_name="k1",
         curvature_name="Ht",
+        x=Polynomial.variable(ctx, "x1"),
+        y=atoms(f"x{i}" for i in range(2, n + 1)),
+        A=tuple(atoms(row) for row in matrix_names),
+        r=atoms(r_names),
+        s=atoms(s_names),
+        k0=Polynomial.variable(ctx, "k0"),
+        k1=Polynomial.variable(ctx, "k1"),
+        ht=Polynomial.variable(ctx, "Ht"),
     )
+    x, y, a = spec.x, spec.y, spec.A
+    quad = Polynomial.zero(ctx)
+    for i in range(m):
+        for j in range(m):
+            quad = quad + a[i][j] * y[i] * y[j]
+    r_dot_y, s_dot_y = dot(spec.r, y), dot(spec.s, y)
+    f = x**3 + quad + spec.k0 * x**2 + r_dot_y * x + spec.k1 * x + s_dot_y
     return f, spec
 
 

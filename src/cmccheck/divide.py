@@ -8,14 +8,14 @@ is a proof, and :func:`divides` re-multiplies the quotient to certify it.
 
 :func:`divide` takes leading terms from a heap of candidate monomials
 (Johnson 1974; Monagan & Pearce 2011) and reduces over the integers:
-both operands are cleared of denominators, and a working coefficient is a
-numerator over a power of the divisor's integer leading coefficient.
-``Fraction`` is built only for the quotient and remainder it returns.
+both operands are cleared of denominators by ``Polynomial._integer_terms``,
+the same step that products use, and a working coefficient is a numerator
+over a power of the divisor's integer leading coefficient.  ``Fraction``
+is built only for the quotient and remainder it returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -56,10 +56,6 @@ def _divisible_mono(m: tuple[int, ...], lead: tuple[int, ...]) -> bool:
     return True
 
 
-def _denominator_lcm(p: Polynomial) -> int:
-    return math.lcm(*(c.denominator for _, c in p.terms()))
-
-
 def divide(
     g: Polynomial, f: Polynomial, order: Optional[str] = None
 ) -> DivisionResult:
@@ -76,13 +72,11 @@ def divide(
     # Divide G = dg*g by F = df*f; then q = Q*df/dg and r = R/dg.  A working
     # term (a, k) stands for a / L**k, where L is F's leading coefficient.
     # F's leading term is left out of ``ftems``: it cancels each lead exactly.
-    dg, df = _denominator_lcm(g), _denominator_lcm(f)
-    lc_f = f.coefficient(lead_f)
-    powers = [1, lc_f.numerator * (df // lc_f.denominator)]
-    ftems = [
-        (m, c.numerator * (df // c.denominator)) for m, c in f.terms() if m != lead_f
-    ]
-    work = {m: (c.numerator * (dg // c.denominator), 0) for m, c in g.terms()}
+    gterms, dg = g._integer_terms()
+    fterms, df = f._integer_terms()
+    powers = [1, next(c for m, c in fterms if m == lead_f)]
+    ftems = [(m, c) for m, c in fterms if m != lead_f]
+    work = {m: (c, 0) for m, c in gterms}
     # Every monomial in ``work`` has exactly one heap entry; a term that
     # cancels stays in ``work`` with numerator 0 and is skipped when popped.
     heap = [(heap_key(m), m) for m in work]

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .calculus import delta1, grad_norm_sq
+from .calculus import delta1, dot, grad_norm_sq
 from .cubic import (
     GenericCubicSpec,
     SymMatrix,
@@ -50,7 +50,7 @@ from .cubic import (
     quad_form_to_matrix,
 )
 from .divide import divide
-from .ring import ExponentLimitError, Polynomial, RingContext, RingError
+from .ring import ExponentLimitError, Polynomial, RingError
 
 MUTATIONS = ("cubic-part", "defect-sign")
 
@@ -88,96 +88,69 @@ class ReplayReport:
         raise KeyError(name)
 
 
-class _Pieces:
-    """Symbolic building blocks of the generic cubic, precomputed once."""
-
-    def __init__(self, ctx: RingContext, spec: GenericCubicSpec) -> None:
-        self.ctx = ctx
-        self.spec = spec
-        self.x = Polynomial.variable(ctx, "x1")
-        self.y = [Polynomial.variable(ctx, f"x{i}") for i in range(2, spec.n + 1)]
-        self.A = [
-            [Polynomial.variable(ctx, name) for name in row]
-            for row in spec.matrix_names
-        ]
-        self.r = [Polynomial.variable(ctx, name) for name in spec.r_names]
-        self.s = [Polynomial.variable(ctx, name) for name in spec.s_names]
-        self.k0 = Polynomial.variable(ctx, spec.k0_name)
-        self.k1 = Polynomial.variable(ctx, spec.k1_name)
-        self.ht = Polynomial.variable(ctx, spec.curvature_name)
-        self.Ay = self.mat_vec(self.y)
-        self.quad = self.dot(self.y, self.Ay)  # y'Ay
-        self.trace = sum(
-            (self.A[i][i] for i in range(spec.y_count)), Polynomial.zero(ctx)
-        )
-
-    def dot(self, u: list[Polynomial], v: list[Polynomial]) -> Polynomial:
-        out = Polynomial.zero(self.ctx)
-        for a, b in zip(u, v):
-            out = out + a * b
-        return out
-
-    def mat_vec(self, v: list[Polynomial]) -> list[Polynomial]:
-        return [self.dot(row, v) for row in self.A]
+def _mat_vec(spec: GenericCubicSpec, v: Sequence[Polynomial]) -> list[Polynomial]:
+    return [dot(row, v) for row in spec.A]
 
 
-def _expected_parts(p: _Pieces) -> list[Polynomial]:
-    x, k0, k1 = p.x, p.k0, p.k1
-    r_dot_y = p.dot(p.r, p.y)
-    h0 = k1 * k1 + p.dot(p.s, p.s)
+def _expected_parts(spec: GenericCubicSpec) -> list[Polynomial]:
+    x, k0, k1, r, s = spec.x, spec.k0, spec.k1, spec.r, spec.s
+    Ay = _mat_vec(spec, spec.y)
+    r_dot_y = dot(r, spec.y)
+    h0 = k1 * k1 + dot(s, s)
     h1 = (
-        p.dot(p.s, p.Ay) * 4
+        dot(s, Ay) * 4
         + k0 * k1 * x * 4
         + k1 * r_dot_y * 2
-        + x * p.dot(p.r, p.s) * 2
+        + x * dot(r, s) * 2
     )
     h2 = (
-        x * p.dot(p.r, p.Ay) * 4
-        + p.dot(p.Ay, p.Ay) * 4
+        x * dot(r, Ay) * 4
+        + dot(Ay, Ay) * 4
         + k0 * x * r_dot_y * 4
         + r_dot_y**2
-        + x**2 * (k0**2 * 4 + k1 * 6 + p.dot(p.r, p.r))
+        + x**2 * (k0**2 * 4 + k1 * 6 + dot(r, r))
     )
     h3 = k0 * x**3 * 12 + x**2 * r_dot_y * 6
     h4 = x**4 * 9
     return [h0, h1, h2, h3, h4]
 
 
-def _expected_delta1(p: _Pieces, gradsq: Polynomial) -> Polynomial:
+def _expected_delta1(spec: GenericCubicSpec, gradsq: Polynomial) -> Polynomial:
     """The printed closed-form expansion of delta1 on the generic cubic."""
-    x, k0, k1 = p.x, p.k0, p.k1
-    r_dot_y = p.dot(p.r, p.y)
-    A2y = p.mat_vec(p.Ay)
-    A3y = p.mat_vec(A2y)
-    Ar = p.mat_vec(p.r)
-    As = p.mat_vec(p.s)
+    x, k0, k1, r, s, y = spec.x, spec.k0, spec.k1, spec.r, spec.s, spec.y
+    r_dot_y = dot(r, y)
+    Ay = _mat_vec(spec, y)
+    A2y = _mat_vec(spec, Ay)
+    A3y = _mat_vec(spec, A2y)
+    Ar = _mat_vec(spec, r)
+    As = _mat_vec(spec, s)
+    trace = SymMatrix(spec.A).trace()
     three_x = x * 3
     return (
-        gradsq * p.trace * 4
-        + (k0 + three_x) * (p.dot(p.s, p.Ay) + p.dot(p.Ay, p.Ay)) * 16
-        - p.dot(p.r, p.Ay) * (k1 + r_dot_y - x**2 * 3) * 8
-        - x * p.dot(p.s, Ar) * 8
-        - x**2 * p.dot(p.r, Ar) * 4
-        - x * p.dot(p.r, A2y) * 16
-        - p.dot(p.s, A2y) * 16
-        - p.dot(p.s, As) * 4
-        - p.dot(p.y, A3y) * 16
-        - x * (k0 * x + k1 + r_dot_y) * p.dot(p.r, p.r) * 4
-        + (k0 + three_x) * p.dot(p.s, p.s) * 4
-        - p.dot(p.r, p.s) * (k1 + r_dot_y - x**2 * 3) * 4
+        gradsq * trace * 4
+        + (k0 + three_x) * (dot(s, Ay) + dot(Ay, Ay)) * 16
+        - dot(r, Ay) * (k1 + r_dot_y - x**2 * 3) * 8
+        - x * dot(s, Ar) * 8
+        - x**2 * dot(r, Ar) * 4
+        - x * dot(r, A2y) * 16
+        - dot(s, A2y) * 16
+        - dot(s, As) * 4
+        - dot(y, A3y) * 16
+        - x * (k0 * x + k1 + r_dot_y) * dot(r, r) * 4
+        + (k0 + three_x) * dot(s, s) * 4
+        - dot(r, s) * (k1 + r_dot_y - x**2 * 3) * 4
     )
 
 
 def expected_gradsq_parts(n: int) -> list[Polynomial]:
     """The five printed homogeneous parts of |grad f|^2, degrees 0..4."""
-    f, spec = generic_cubic(n)
-    return _expected_parts(_Pieces(f.ctx, spec))
+    return _expected_parts(generic_cubic(n)[1])
 
 
 def expected_delta1_expansion(n: int) -> Polynomial:
     """The printed closed-form expansion of delta1(f) for dimension n."""
     f, spec = generic_cubic(n)
-    return _expected_delta1(_Pieces(f.ctx, spec), grad_norm_sq(f))
+    return _expected_delta1(spec, grad_norm_sq(f))
 
 
 def _exact_quotient(
@@ -196,10 +169,11 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         raise RingError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
     f, spec = generic_cubic(n)
     ctx = f.ctx
-    p = _Pieces(ctx, spec)
-    x = p.x
+    x, ht = spec.x, spec.ht
+    a_matrix = SymMatrix(spec.A)
+    trace = a_matrix.trace()
     if mutation == "cubic-part":
-        f = f - x**3 + x**2 * p.y[0]
+        f = f - x**3 + x**2 * spec.y[0]
 
     report = ReplayReport(n=n, mutation=mutation)
     current = "setup"
@@ -210,7 +184,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
     try:
         current = "gradsq-parts"
         gradsq = grad_norm_sq(f)
-        parts = _expected_parts(p)
+        parts = _expected_parts(spec)
         residual = gradsq - sum(parts, Polynomial.zero(ctx))
         if residual.is_zero:
             # The sum matching forces every homogeneous part to match, the
@@ -228,7 +202,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "delta1-congruence"
         d1 = delta1(f)
-        residual = (d1 - p.trace * gradsq * 4).high_part(3)
+        residual = (d1 - trace * gradsq * 4).high_part(3)
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
                        residual=None if residual.is_zero else residual,
@@ -244,7 +218,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         )
 
         current = "delta1-square"
-        residual = (d1 * d1 - p.trace**2 * x**8 * 1296).high_part(7)
+        residual = (d1 * d1 - trace**2 * x**8 * 1296).high_part(7)
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
                        residual=None if residual.is_zero else residual,
@@ -253,7 +227,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "defect-valuations"
         d1sq = d1 * d1
-        defect = p.ht * p.ht * gradsq**3
+        defect = ht * ht * gradsq**3
         defect = defect + d1sq if mutation == "defect-sign" else defect - d1sq
         dpart = {k: defect.homogeneous_part(k) for k in range(8, 13)}
         vals = {k: dpart[k].valuation("x1") for k in range(8, 13)}
@@ -264,13 +238,13 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
         y0 = {f"x{i}": Fraction(0) for i in range(2, n + 1)}
         axis_cube = (
-            p.ht * p.ht * sum(parts, Polynomial.zero(ctx)).substitute(y0) ** 3
+            ht * ht * sum(parts, Polynomial.zero(ctx)).substitute(y0) ** 3
         )
         axis_diff = {
             k: dpart[k].substitute(y0) - axis_cube.homogeneous_part(k)
             for k in range(8, 13)
         }
-        axis_diff[8] = axis_diff[8] + p.trace**2 * x**8 * 1296
+        axis_diff[8] = axis_diff[8] + trace**2 * x**8 * 1296
         axis_bad = [k for k in range(8, 13) if not axis_diff[k].is_zero]
         if axis_bad:
             detail += f"; x-axis identity fails at deg {axis_bad[0]}"
@@ -292,7 +266,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         p9, rem = _exact_quotient(dpart[12], f3)
         if not rem.is_zero:
             cascade_residual = rem
-        expected_p9 = p.ht * p.ht * x**9 * 729
+        expected_p9 = ht * ht * x**9 * 729
         if cascade_residual is None and p9 != expected_p9:
             cascade_residual = p9 - expected_p9
         p8, rem = _exact_quotient(dpart[11] - p9 * f2, f3)
@@ -325,7 +299,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "obstruction"
         lhs = p6.substitute(at0) * f2.substitute(at0)
-        rhs = -(p.ht * p.ht) * p.quad**4 * 729
+        quad = dot(spec.y, _mat_vec(spec, spec.y))  # y'Ay
+        rhs = -(ht * ht) * quad**4 * 729
         residual = lhs - rhs
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
@@ -339,13 +314,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         y_names = [f"x{i}" for i in range(2, n + 1)]
         extracted = quad_form_to_matrix(f2_at0, y_names)
         rebuilt = quad_form_from_matrix(extracted, y_names, ctx)
-        target = SymMatrix(
-            tuple(
-                tuple(Polynomial.variable(ctx, name) for name in row)
-                for row in spec.matrix_names
-            )
-        )
-        if rebuilt == f2_at0 and extracted == target:
+        if rebuilt == f2_at0 and extracted == a_matrix:
             run(
                 ReplayStep(current, "pass",
                            detail="y'Ay recovers every entry of A, so A = 0 is forced")
@@ -353,14 +322,15 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         else:
             residual = f2_at0 - rebuilt
             if residual.is_zero:
-                residual = f2_at0 - quad_form_from_matrix(target, y_names, ctx)
+                rebuilt = quad_form_from_matrix(a_matrix, y_names, ctx)
+                residual = f2_at0 - rebuilt
             run(ReplayStep(current, "fail", residual=residual))
 
         # The printed closed-form expansion is transcription fidelity only;
         # a mismatch is recorded out of band and never fails the chain,
         # which relies solely on the step-2 congruence.
         current = "delta1-expansion"
-        expansion_residual = d1 - _expected_delta1(p, gradsq)
+        expansion_residual = d1 - _expected_delta1(spec, gradsq)
         report.delta1_expansion_matches = expansion_residual.is_zero
         report.delta1_expansion_residual = (
             None if expansion_residual.is_zero else expansion_residual

@@ -8,8 +8,12 @@ over the coordinate block only.  This is what makes "homogeneous part of
 degree k" meaningful for expressions whose coefficients are themselves
 polynomials in the parameters.
 
-Coefficients are :class:`fractions.Fraction` throughout.  Floats are
+Coefficients are stored as :class:`fractions.Fraction`.  Floats are
 rejected at every entry point; nothing in this package ever rounds.
+Products and division clear a polynomial's coefficients to integer
+numerators over one common denominator (``Polynomial._integer_terms``),
+do their arithmetic on ints, and build each ``Fraction`` of the result
+once.
 """
 
 from __future__ import annotations
@@ -336,6 +340,16 @@ class Polynomial:
     # ------------------------------------------------------------------
     # arithmetic
 
+    def _integer_terms(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+        """Terms as integer numerators over one common denominator.
+
+        This is the one place where coefficients are cleared to integers:
+        products and :func:`cmccheck.divide.divide` both work on its output.
+        """
+        d = math.lcm(*(c.denominator for c in self._terms.values()))
+        terms = self._terms.items()
+        return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
+
     def _coerce(self, other) -> Optional["Polynomial"]:
         if isinstance(other, Polynomial):
             if other.ctx != self.ctx:
@@ -404,48 +418,34 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return Polynomial.zero(self.ctx)
         # Exponents only ever grow by addition, so one bound check up front
         # lets the hot loop skip per-term guard tests.
         guarded = self.max_exponent() + other.max_exponent() > self.ctx.exponent_guard
-        if len(a) > len(b):
-            a, b = b, a
-        bitems = list(b.items())
-        # Integer coefficients dominate in practice; doing the accumulation
-        # in plain ints and wrapping once at the end is several times faster
-        # than Fraction arithmetic term by term.
-        if all(c.denominator == 1 for c in a.values()) and all(
-            c.denominator == 1 for c in b.values()
-        ):
-            acc_int: dict[tuple[int, ...], int] = {}
-            get = acc_int.get
-            for m1, c1 in a.items():
-                n1 = c1.numerator
-                for m2, c2 in bitems:
-                    m = tuple(map(_add, m1, m2))
-                    prev = get(m)
-                    acc_int[m] = n1 * c2.numerator if prev is None else prev + n1 * c2.numerator
-            if guarded:
-                for m in acc_int:
-                    self.ctx.check_monomial(m)
-            return Polynomial(
-                self.ctx,
-                {m: Fraction(v) for m, v in acc_int.items() if v},
-                _clean=True,
-            )
-        acc: dict[tuple[int, ...], Fraction] = {}
+        # Accumulating integer numerators over one denominator, and building
+        # each output Fraction once, is several times faster than Fraction
+        # arithmetic term by term.
+        ia, da = self._integer_terms()
+        ib, db = other._integer_terms()
+        if len(ia) > len(ib):
+            ia, ib = ib, ia
+        acc: dict[tuple[int, ...], int] = {}
         get = acc.get
-        for m1, c1 in a.items():
-            for m2, c2 in bitems:
+        for m1, n1 in ia:
+            for m2, n2 in ib:
                 m = tuple(map(_add, m1, m2))
                 prev = get(m)
-                acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+                acc[m] = n1 * n2 if prev is None else prev + n1 * n2
         if guarded:
             for m in acc:
                 self.ctx.check_monomial(m)
-        return Polynomial(self.ctx, {m: v for m, v in acc.items() if v}, _clean=True)
+        den = da * db
+        if den == 1:
+            terms = {m: Fraction(v) for m, v in acc.items() if v}
+        else:
+            terms = {m: Fraction(v, den) for m, v in acc.items() if v}
+        return Polynomial(self.ctx, terms, _clean=True)
 
     __rmul__ = __mul__
 
@@ -495,20 +495,14 @@ class Polynomial:
                 polys[i] = self._embed(value)
             else:
                 scalar[i] = as_fraction(value)
+        scaled = self._substitute_scalars(scalar) if scalar else self
         if not polys:
-            return self._substitute_scalars(scalar)
+            return scaled
         out = Polynomial.zero(self.ctx)
         cache: dict[tuple[int, int], Polynomial] = {}
-        for mono, coeff in self._terms.items():
+        for mono, coeff in scaled._terms.items():
             residual = list(mono)
             factor = None
-            for i, val in scalar.items():
-                e = mono[i]
-                if e:
-                    residual[i] = 0
-                    coeff = coeff * val**e
-            if not coeff:
-                continue
             for i, val in polys.items():
                 e = mono[i]
                 if e:

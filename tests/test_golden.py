@@ -14,7 +14,7 @@ import pytest
 
 from cmccheck.cli import main
 
-GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])

@@ -211,6 +211,13 @@ def test_substitute_polynomial_values():
     x, y = var(CTX3, "x1"), var(CTX3, "x2")
     f = x**2 + y
     assert f.substitute({"x1": y + 1}) == y**2 + y * 3 + 1
+    # scalar and polynomial bindings in one call act simultaneously: the
+    # scalar for x2 does not reach the x2 inside the value bound to x1
+    z = var(CTX3, "x3")
+    assert (x**2 * z + y).substitute({"x1": y + 1, "x3": 2}) == (
+        y**2 * 2 + y * 5 + 2
+    )
+    assert (x + y).substitute({"x1": y, "x2": 3}) == y + 3
     # binding from a sub-context embeds by variable name
     sub = RingContext.geometric(2)
     g = Polynomial.variable(sub, "x2") + 1
