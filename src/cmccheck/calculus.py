@@ -23,15 +23,7 @@ PolyVector = List[Polynomial]
 
 def partial(f: Polynomial, name: str) -> Polynomial:
     """Partial derivative with respect to any declared variable."""
-    i = f.ctx.index(name)
-    terms = {}
-    for mono, coeff in f.terms():
-        e = mono[i]
-        if e:
-            m = list(mono)
-            m[i] = e - 1
-            terms[tuple(m)] = coeff * e
-    return Polynomial(f.ctx, terms, _clean=True)
+    return f._derivative(f.ctx.index(name))
 
 
 def gradient(f: Polynomial) -> PolyVector:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -332,6 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(func=cmd_sweep)
 
+    # A polynomial or rational may start with "-" ("-x1", "-1/2"): read any
+    # single-dash word that is not a known option as a value.  Known options
+    # such as -h are matched before this test.
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile(r"^-[^-]")
     return parser
 
 

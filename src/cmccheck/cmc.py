@@ -178,8 +178,8 @@ def _random_cubic(rng: random.Random, ctx: RingContext, bound: int) -> Polynomia
         for mono in monos:
             c = rng.randint(-bound, bound)
             if c:
-                terms[mono] = Fraction(c)
-        f = Polynomial(ctx, terms, _clean=True)
+                terms[mono] = c
+        f = Polynomial(ctx, terms)
         if not f.homogeneous_part(3).is_zero:
             return f
 

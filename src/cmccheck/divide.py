@@ -7,22 +7,25 @@ itself does not depend on the order, so a zero remainder under any order
 is a proof, and :func:`divides` re-multiplies the quotient to certify it.
 
 :func:`divide` takes leading terms from a heap of candidate monomials
-(Johnson 1974; Monagan & Pearce 2011) and reduces over the integers:
-both operands are cleared of denominators by ``Polynomial._integer_terms``,
-the same step that products use, and a working coefficient is a numerator
-over a power of the divisor's integer leading coefficient.  ``Fraction``
-is built only for the quotient and remainder it returns.
+(Johnson 1974; Monagan & Pearce 2007, 2011) and reduces over the integer
+numerators that :class:`~cmccheck.ring.Polynomial` stores: a working
+coefficient is a numerator over a power of the divisor's integer leading
+coefficient, and the quotient and remainder are each put over one such
+power at the end.  Monomials are the ring's packed ints, so a quotient
+monomial is ``lead - lead_f`` and a new term ``qm + m``.  This module knows
+nothing of the packed layout beyond what the ring context hands it: the
+borrow mask (``lead - lead_f`` has a bit of it set exactly when ``lead`` is
+not divisible by ``lead_f``), the heap key for the chosen order (for lex,
+``-m``), and the exponent guard check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add as _add, sub as _sub
 from typing import Optional
 
-from .ring import _DESC_KEYS, Polynomial, RingError
+from .ring import Polynomial, RingError
 
 
 class ZeroDivisorError(RingError):
@@ -49,13 +52,6 @@ def default_order(ctx) -> str:
     return "lex" if ctx.geometric_count >= 1 else "grevlex"
 
 
-def _divisible_mono(m: tuple[int, ...], lead: tuple[int, ...]) -> bool:
-    for a, b in zip(m, lead):
-        if a < b:
-            return False
-    return True
-
-
 def divide(
     g: Polynomial, f: Polynomial, order: Optional[str] = None
 ) -> DivisionResult:
@@ -64,55 +60,75 @@ def divide(
         raise RingError("dividend and divisor belong to different ring contexts")
     if f.is_zero:
         raise ZeroDivisorError("division by the zero polynomial")
-    tag = order or default_order(g.ctx)
-    lead_f = f.leading_monomial(tag)
-    heap_key = _DESC_KEYS[tag]
-    guarded = g.max_exponent() + f.max_exponent() > g.ctx.exponent_guard
+    ctx = g.ctx
+    tag = order or default_order(ctx)
+    key, unkey = ctx._heap_key(tag)
+    borrow = ctx._borrow
+    lead_f = unkey(min(map(key, f._terms)))
 
-    # Divide G = dg*g by F = df*f; then q = Q*df/dg and r = R/dg.  A working
-    # term (a, k) stands for a / L**k, where L is F's leading coefficient.
-    # F's leading term is left out of ``ftems``: it cancels each lead exactly.
-    gterms, dg = g._integer_terms()
-    fterms, df = f._integer_terms()
-    powers = [1, next(c for m, c in fterms if m == lead_f)]
-    ftems = [(m, c) for m, c in fterms if m != lead_f]
-    work = {m: (c, 0) for m, c in gterms}
+    # Divide G = dg*g by F = df*f (numerators only); then q = Q*df/dg and
+    # r = R/dg.  A working term stands for ``work[m] / L**level[m]``, where
+    # L is F's leading coefficient.  F's leading term is left out of
+    # ``ftems``: it cancels each lead exactly.
+    dg, df = g._den, f._den
+    powers = [1, f._terms[lead_f]]
+    ftems = [(m, c) for m, c in f._terms.items() if m != lead_f]
+    work = dict(g._terms)
+    level = dict.fromkeys(work, 0)
     # Every monomial in ``work`` has exactly one heap entry; a term that
     # cancels stays in ``work`` with numerator 0 and is skipped when popped.
-    heap = [(heap_key(m), m) for m in work]
+    heap = list(map(key, work))
     heapify(heap)
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    # Quotient and remainder numerators, each with its power of L.
+    quotient: dict[int, int] = {}
+    qlevel: dict[int, int] = {}
+    remainder: dict[int, int] = {}
+    rlevel: dict[int, int] = {}
     while heap:
-        lead = heappop(heap)[1]
-        a, k = work.pop(lead)
+        lead = unkey(heappop(heap))
+        a = work.pop(lead)
+        k = level.pop(lead)
         if not a:
             continue
-        if not _divisible_mono(lead, lead_f):
-            remainder[lead] = Fraction(a, powers[k] * dg)
+        # Every monomial built below is a checked lead plus an in-guard
+        # monomial of F, so checking leads as they are popped suffices.
+        ctx._check_packed(lead)
+        qm = lead - lead_f
+        if qm & borrow:
+            remainder[lead] = a
+            rlevel[lead] = k
             continue
         k += 1
         if k == len(powers):
             powers.append(powers[-1] * powers[1])
-        qm = tuple(map(_sub, lead, lead_f))
-        quotient[qm] = Fraction(a * df, powers[k] * dg)
+        quotient[qm] = a * df
+        qlevel[qm] = k
         for m, c in ftems:
-            mm = tuple(map(_add, qm, m))
-            if guarded:
-                g.ctx.check_monomial(mm)
-            prev = work.get(mm)
-            if prev is None:
-                heappush(heap, (heap_key(mm), mm))
-                prev = (0, k)
-            b, j = prev
-            if j < k:
-                work[mm] = (b * powers[k - j] - a * c, k)
+            mm = qm + m
+            j = level.get(mm)
+            if j is None:
+                heappush(heap, key(mm))
+                work[mm] = -a * c
+                level[mm] = k
+            elif j < k:
+                work[mm] = work[mm] * powers[k - j] - a * c
+                level[mm] = k
             else:
-                work[mm] = (b - a * c * powers[j - k], j)
+                work[mm] -= a * c * powers[j - k]
     return DivisionResult(
-        Polynomial(g.ctx, quotient, _clean=True),
-        Polynomial(g.ctx, remainder, _clean=True),
+        _over_common_power(ctx, quotient, qlevel, powers, dg),
+        _over_common_power(ctx, remainder, rlevel, powers, dg),
         tag,
+    )
+
+
+def _over_common_power(ctx, terms, levels, powers, dg) -> Polynomial:
+    """Sum of ``terms[m] / (L**levels[m] * dg)``, over the largest power."""
+    top = max((levels[m] for m in terms), default=0)
+    return Polynomial._from_ints(
+        ctx,
+        {m: a * powers[top - levels[m]] for m, a in terms.items()},
+        powers[top] * dg,
     )
 
 

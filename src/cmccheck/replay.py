@@ -218,7 +218,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         )
 
         current = "delta1-square"
-        residual = (d1 * d1 - trace**2 * x**8 * 1296).high_part(7)
+        d1sq = d1 * d1
+        residual = (d1sq - trace**2 * x**8 * 1296).high_part(7)
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
                        residual=None if residual.is_zero else residual,
@@ -226,7 +227,6 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         )
 
         current = "defect-valuations"
-        d1sq = d1 * d1
         defect = ht * ht * gradsq**3
         defect = defect + d1sq if mutation == "defect-sign" else defect - d1sq
         dpart = {k: defect.homogeneous_part(k) for k in range(8, 13)}

@@ -8,12 +8,29 @@ over the coordinate block only.  This is what makes "homogeneous part of
 degree k" meaningful for expressions whose coefficients are themselves
 polynomials in the parameters.
 
-Coefficients are stored as :class:`fractions.Fraction`.  Floats are
-rejected at every entry point; nothing in this package ever rounds.
-Products and division clear a polynomial's coefficients to integer
-numerators over one common denominator (``Polynomial._integer_terms``),
-do their arithmetic on ints, and build each ``Fraction`` of the result
-once.
+Coefficients are exact rationals.  Floats are rejected at every entry
+point; nothing in this package ever rounds.
+
+Internal layout (known only to this module):
+
+* **Packed monomials.**  An exponent vector is one int with a bit field per
+  variable, the first variable in the top field, so comparing the ints is
+  the lex order.  A field is ``exponent_guard.bit_length() + 1`` bits wide:
+  every in-guard exponent leaves the field's top ("guard") bit clear, and
+  the sum of two in-guard exponents never carries into the next field.  So
+  a product of monomials is one int addition; ``m - lead`` has a guard bit
+  set exactly when some exponent of ``lead`` exceeds that of ``m`` (the
+  borrow test); and an exponent above the guard is caught by adding
+  ``guard bit - 1 - guard`` to each field and testing the guard bits.
+* **Integer coefficients.**  A polynomial holds integer numerators over one
+  positive denominator, reduced so that the denominator and the numerators
+  share no factor; that form is canonical, so equality compares dicts.
+  ``Fraction`` is built only where a coefficient leaves through the public
+  API (:meth:`Polynomial.terms`, :meth:`Polynomial.coefficient`, ...).
+
+The public API speaks exponent tuples and ``Fraction``; the private
+``RingContext`` helpers (``_pack``, ``_unpack``, ``_heap_key``,
+``_check_packed``, ``_borrow``) are what :mod:`cmccheck.divide` uses.
 """
 
 from __future__ import annotations
@@ -22,8 +39,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add, neg as _neg
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import reduce
+from itertools import compress, repeat
+from operator import neg as _neg, or_ as _or
+from typing import (
+    Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 Rational = Union[int, Fraction]
 
@@ -81,13 +102,6 @@ def lex_key(mono: tuple[int, ...]) -> tuple:
 
 _ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
 
-# Descending keys (each component of the ascending key negated), so that a
-# min-heap pops the leading monomial first.
-_DESC_KEYS = {
-    "grevlex": lambda mono: (-sum(mono), mono[::-1]),
-    "lex": lambda mono: tuple(map(_neg, mono)),
-}
-
 
 @dataclass(frozen=True)
 class RingContext:
@@ -116,9 +130,22 @@ class RingContext:
             raise RingError(f"unknown monomial order: {self.order!r}")
         if self.exponent_guard < 1:
             raise RingError("exponent guard must be positive")
-        object.__setattr__(
-            self, "_index", {name: i for i, name in enumerate(self.variables)}
-        )
+        # The packed layout.  These are plain attributes, not dataclass
+        # fields, so they take no part in equality, hashing or repr.
+        width = self.exponent_guard.bit_length() + 1
+        nvars = len(self.variables)
+        shifts = tuple(width * (nvars - 1 - i) for i in range(nvars))
+        ones = sum(1 << s for s in shifts)
+        guard_bit = 1 << (width - 1)
+        layout = {
+            "_index": {name: i for i, name in enumerate(self.variables)},
+            "_shifts": shifts,
+            "_mask": (1 << width) - 1,
+            "_borrow": ones * guard_bit,
+            "_lift": ones * (guard_bit - 1 - self.exponent_guard),
+        }
+        for attr, value in layout.items():
+            object.__setattr__(self, attr, value)
 
     @classmethod
     def geometric(cls, n: int, order: str = "grevlex") -> "RingContext":
@@ -185,55 +212,134 @@ class RingContext:
                 )
         return mono
 
+    # ------------------------------------------------------------------
+    # packed monomials (see the module docstring)
+
+    def _pack(self, mono: Sequence[int]) -> int:
+        """Packed form of a checked exponent tuple."""
+        return sum(e << s for e, s in zip(mono, self._shifts))
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        mask = self._mask
+        return tuple((m >> s) & mask for s in self._shifts)
+
+    def _field(self, m: int, i: int) -> int:
+        return (m >> self._shifts[i]) & self._mask
+
+    def _check_packed(self, m: int) -> None:
+        """Raise ExponentLimitError if a field of ``m`` (at most twice the
+        guard, as in a sum of two in-guard monomials) exceeds the guard."""
+        if (m + self._lift) & self._borrow:
+            self.check_monomial(self._unpack(m))
+
+    def _check_all_packed(self, monos: Collection[int]) -> None:
+        # Each ``m + lift`` is carry-free, so OR-ing them keeps every
+        # guard bit that any one of them sets.
+        if reduce(_or, map(self._lift.__add__, monos), 0) & self._borrow:
+            for m in monos:
+                self._check_packed(m)
+
+    def _heap_key(self, order: str) -> tuple[Callable[[int], int], Callable[[int], int]]:
+        """``(key, unkey)``: int keys whose ascending order is the descending
+        monomial order, so a min-heap of keys pops the leading monomial."""
+        if order == "lex":
+            return _neg, _neg
+        if order != "grevlex":
+            raise RingError(f"unknown monomial order: {order!r}")
+        # Higher total degree first; at equal degree, the smaller exponent
+        # vector read from the last variable up (fields reversed) leads.
+        shifts, mask = self._shifts, self._mask
+        rev = shifts[::-1]
+        span = len(shifts) * (mask.bit_length())
+
+        def key(m: int) -> int:
+            fields = [(m >> s) & mask for s in shifts]
+            return (-sum(fields) << span) + sum(e << s for e, s in zip(fields, rev))
+
+        def unkey(k: int) -> int:
+            low = k & ((1 << span) - 1)
+            return sum(((low >> r) & mask) << s for r, s in zip(rev, shifts))
+
+        return key, unkey
+
+    def _degrees(self, monos: Collection[int]) -> Iterator[int]:
+        """Geometric degree of each packed monomial of ``monos``, in order."""
+        g = self.geometric_count
+        if not g:
+            return repeat(0, len(monos))
+        base = self._shifts[g - 1]
+        # The coordinate block ``m >> base`` read modulo ``2**width - 1`` is
+        # the sum of its fields, exactly when that sum is below the modulus;
+        # the OR of all monomials bounds every field.
+        modulus = self._mask
+        if sum(self._unpack(reduce(_or, monos, 0))[:g]) < modulus:
+            return map(modulus.__rmod__, map(base.__rrshift__, monos))
+        mask, shifts = self._mask, self._shifts[:g]
+        return (sum((m >> s) & mask for s in shifts) for m in monos)
+
 
 class Polynomial:
     """Immutable sparse polynomial over a fixed :class:`RingContext`.
 
-    Terms are stored as a dict mapping exponent tuples to nonzero
-    Fractions.  Two polynomials are equal iff their contexts are equal and
-    their term dicts are identical; all iteration that reaches output is
+    Terms are stored as a dict from packed monomials to nonzero integer
+    numerators, over one positive denominator (see the module docstring).
+    That form is canonical, so two polynomials are equal iff their contexts,
+    term dicts and denominators are; all iteration that reaches output is
     sorted, so printing and serialization are deterministic.
     """
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_terms", "_den")
 
     def __init__(
         self,
         ctx: RingContext,
         terms: Union[Mapping[tuple[int, ...], Rational], Iterable] = (),
-        *,
-        _clean: bool = False,
     ) -> None:
-        self.ctx = ctx
-        if _clean:
-            self._terms = dict(terms)
-            return
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for mono, coeff in items:
-            mono = ctx.check_monomial(mono)
-            coeff = as_fraction(coeff)
-            acc = cleaned.get(mono)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                cleaned[mono] = coeff
-            else:
-                cleaned.pop(mono, None)
-        self._terms = cleaned
+            m = ctx._pack(ctx.check_monomial(mono))
+            acc[m] = acc.get(m, 0) + as_fraction(coeff)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        self.ctx = ctx
+        self._terms = {
+            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
+        }
+        self._den = den
+
+    @classmethod
+    def _from_ints(
+        cls, ctx: RingContext, terms: dict[int, int], den: int = 1
+    ) -> "Polynomial":
+        """Wrap nonzero numerators over a nonzero ``den``, reducing to the
+        canonical form (positive denominator coprime to the numerators)."""
+        if den != 1:
+            if den < 0:
+                den = -den
+                terms = {m: -c for m, c in terms.items()}
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
+        poly = cls.__new__(cls)
+        poly.ctx = ctx
+        poly._terms = terms
+        poly._den = den
+        return poly
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, ctx: RingContext) -> "Polynomial":
-        return cls(ctx, {}, _clean=True)
+        return cls._from_ints(ctx, {})
 
     @classmethod
     def constant(cls, ctx: RingContext, value: Rational) -> "Polynomial":
         value = as_fraction(value)
         if not value:
             return cls.zero(ctx)
-        return cls(ctx, {(0,) * ctx.nvars: value}, _clean=True)
+        return cls._from_ints(ctx, {0: value.numerator}, value.denominator)
 
     @classmethod
     def one(cls, ctx: RingContext) -> "Polynomial":
@@ -241,19 +347,17 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ctx: RingContext, name: str) -> "Polynomial":
-        i = ctx.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(ctx.nvars))
-        return cls(ctx, {mono: Fraction(1)}, _clean=True)
+        return cls._from_ints(ctx, {1 << ctx._shifts[ctx.index(name)]: 1})
 
     @classmethod
     def monomial(
         cls, ctx: RingContext, mono: Sequence[int], coeff: Rational = 1
     ) -> "Polynomial":
-        mono = ctx.check_monomial(tuple(mono))
+        m = ctx._pack(ctx.check_monomial(tuple(mono)))
         coeff = as_fraction(coeff)
         if not coeff:
             return cls.zero(ctx)
-        return cls(ctx, {mono: coeff}, _clean=True)
+        return cls._from_ints(ctx, {m: coeff.numerator}, coeff.denominator)
 
     # ------------------------------------------------------------------
     # inspection
@@ -268,61 +372,74 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def _fraction(self, c: int) -> Fraction:
+        return Fraction(c) if self._den == 1 else Fraction(c, self._den)
+
     def coefficient(self, mono: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        try:
+            m = self.ctx._pack(self.ctx.check_monomial(mono))
+        except RingError:
+            return Fraction(0)
+        return self._fraction(self._terms.get(m, 0))
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.ctx.nvars, Fraction(0))
+        return self._fraction(self._terms.get(0, 0))
 
     def monomials(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._terms)
+        return map(self.ctx._unpack, self._terms)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self._terms.items())
+        unpack, frac = self.ctx._unpack, self._fraction
+        return ((unpack(m), frac(c)) for m, c in self._terms.items())
 
     def sorted_terms(
         self, order: Optional[str] = None
     ) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms sorted descending (leading term first)."""
         key = self.ctx.monomial_key(order)
-        return sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+        return sorted(self.terms(), key=lambda kv: key(kv[0]), reverse=True)
 
     def leading_monomial(self, order: Optional[str] = None) -> tuple[int, ...]:
         if not self._terms:
             raise RingError("zero polynomial has no leading monomial")
-        return max(self._terms, key=self.ctx.monomial_key(order))
+        key = self.ctx.monomial_key(order)
+        if key is lex_key:
+            return self.ctx._unpack(max(self._terms))
+        return max(self.monomials(), key=key)
 
     def max_exponent(self) -> int:
-        return max((max(m) for m in self._terms), default=0)
+        return max((max(m) for m in self.monomials()), default=0)
 
     def total_degree(self) -> Union[int, float]:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""
-        g = self.ctx.geometric_count
         if not self._terms:
             return NEG_INF
-        return max(sum(m[:g]) for m in self._terms)
+        return max(self.ctx._degrees(self._terms))
 
     def degree_in(self, name: str) -> Union[int, float]:
         i = self.ctx.index(name)
         if not self._terms:
             return NEG_INF
-        return max(m[i] for m in self._terms)
+        return max(self.ctx._field(m, i) for m in self._terms)
 
     def valuation(self, name: str) -> Union[int, float]:
         """Minimum exponent of ``name`` over all terms; POS_INF for zero."""
         i = self.ctx.index(name)
         if not self._terms:
             return POS_INF
-        return min(m[i] for m in self._terms)
+        return min(self.ctx._field(m, i) for m in self._terms)
+
+    def _degree_filter(self, keep: Callable[[int], bool]) -> "Polynomial":
+        degrees = self.ctx._degrees(self._terms)
+        return Polynomial._from_ints(
+            self.ctx,
+            dict(compress(self._terms.items(), map(keep, degrees))),
+            self._den,
+        )
 
     def homogeneous_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree exactly ``k``."""
-        g = self.ctx.geometric_count
-        return Polynomial(
-            self.ctx,
-            {m: c for m, c in self._terms.items() if sum(m[:g]) == k},
-            _clean=True,
-        )
+        return self._degree_filter(k.__eq__)
 
     def high_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree strictly above ``k``.
@@ -330,25 +447,10 @@ class Polynomial:
         ``(a - b).high_part(k).is_zero`` is the congruence test
         "a equals b modulo terms of degree at most k".
         """
-        g = self.ctx.geometric_count
-        return Polynomial(
-            self.ctx,
-            {m: c for m, c in self._terms.items() if sum(m[:g]) > k},
-            _clean=True,
-        )
+        return self._degree_filter(k.__lt__)
 
     # ------------------------------------------------------------------
     # arithmetic
-
-    def _integer_terms(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-        """Terms as integer numerators over one common denominator.
-
-        This is the one place where coefficients are cleared to integers:
-        products and :func:`cmccheck.divide.divide` both work on its output.
-        """
-        d = math.lcm(*(c.denominator for c in self._terms.values()))
-        terms = self._terms.items()
-        return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
 
     def _coerce(self, other) -> Optional["Polynomial"]:
         if isinstance(other, Polynomial):
@@ -364,19 +466,28 @@ class Polynomial:
             as_fraction(other)
         return None
 
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        res = dict(self._terms)
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        res = dict(self._terms) if sa == 1 else {
+            m: c * sa for m, c in self._terms.items()
+        }
+        get = res.get
         for m, c in other._terms.items():
-            acc = res.get(m)
-            c = c if acc is None else acc + c
+            c = get(m, 0) + c * sb
             if c:
                 res[m] = c
             else:
                 del res[m]
-        return Polynomial(self.ctx, res, _clean=True)
+        return Polynomial._from_ints(self.ctx, res, den)
+
+    def __add__(self, other) -> "Polynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -384,15 +495,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        res = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = res.get(m)
-            c = -c if acc is None else acc - c
-            if c:
-                res[m] = c
-            else:
-                del res[m]
-        return Polynomial(self.ctx, res, _clean=True)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -401,8 +504,8 @@ class Polynomial:
         return other.__sub__(self)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.ctx, {m: -c for m, c in self._terms.items()}, _clean=True
+        return Polynomial._from_ints(
+            self.ctx, {m: -c for m, c in self._terms.items()}, self._den
         )
 
     def __mul__(self, other) -> "Polynomial":
@@ -410,42 +513,40 @@ class Polynomial:
             scale = as_fraction(other)
             if not scale:
                 return Polynomial.zero(self.ctx)
-            return Polynomial(
+            p = scale.numerator
+            return Polynomial._from_ints(
                 self.ctx,
-                {m: c * scale for m, c in self._terms.items()},
-                _clean=True,
+                {m: c * p for m, c in self._terms.items()},
+                self._den * scale.denominator,
             )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Polynomial.zero(self.ctx)
-        # Exponents only ever grow by addition, so one bound check up front
-        # lets the hot loop skip per-term guard tests.
-        guarded = self.max_exponent() + other.max_exponent() > self.ctx.exponent_guard
-        # Accumulating integer numerators over one denominator, and building
-        # each output Fraction once, is several times faster than Fraction
-        # arithmetic term by term.
-        ia, da = self._integer_terms()
-        ib, db = other._integer_terms()
-        if len(ia) > len(ib):
-            ia, ib = ib, ia
-        acc: dict[tuple[int, ...], int] = {}
+        ta, tb = self._terms, other._terms
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        # A monomial product is one int addition and a coefficient product
+        # one int multiplication; the denominators multiply once.
+        acc: dict[int, int] = {}
         get = acc.get
-        for m1, n1 in ia:
-            for m2, n2 in ib:
-                m = tuple(map(_add, m1, m2))
-                prev = get(m)
-                acc[m] = n1 * n2 if prev is None else prev + n1 * n2
-        if guarded:
-            for m in acc:
-                self.ctx.check_monomial(m)
-        den = da * db
-        if den == 1:
-            terms = {m: Fraction(v) for m, v in acc.items() if v}
+        inner = list(tb.items())
+        if ta is tb:
+            # A square: each cross product once, doubled.
+            for i, (m1, n1) in enumerate(inner):
+                acc[m1 + m1] = get(m1 + m1, 0) + n1 * n1
+                n1 += n1
+                for m2, n2 in inner[i + 1 :]:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + n1 * n2
         else:
-            terms = {m: Fraction(v, den) for m, v in acc.items() if v}
-        return Polynomial(self.ctx, terms, _clean=True)
+            for m1, n1 in ta.items():
+                for m2, n2 in inner:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + n1 * n2
+        for m in [m for m, v in acc.items() if not v]:
+            del acc[m]
+        self.ctx._check_all_packed(acc)
+        return Polynomial._from_ints(self.ctx, acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -473,6 +574,17 @@ class Polynomial:
             as_fraction(other)
         return NotImplemented
 
+    def _derivative(self, i: int) -> "Polynomial":
+        """Partial derivative in the ``i``-th variable."""
+        ctx = self.ctx
+        unit = 1 << ctx._shifts[i]
+        terms = {}
+        for m, c in self._terms.items():
+            e = ctx._field(m, i)
+            if e:
+                terms[m - unit] = c * e
+        return Polynomial._from_ints(ctx, terms, self._den)
+
     # ------------------------------------------------------------------
     # substitution and evaluation
 
@@ -498,43 +610,48 @@ class Polynomial:
         scaled = self._substitute_scalars(scalar) if scalar else self
         if not polys:
             return scaled
-        out = Polynomial.zero(self.ctx)
+        ctx = self.ctx
+        out = Polynomial.zero(ctx)
         cache: dict[tuple[int, int], Polynomial] = {}
         for mono, coeff in scaled._terms.items():
-            residual = list(mono)
             factor = None
             for i, val in polys.items():
-                e = mono[i]
+                e = ctx._field(mono, i)
                 if e:
-                    residual[i] = 0
+                    mono -= e << ctx._shifts[i]
                     piece = cache.get((i, e))
                     if piece is None:
                         piece = val**e
                         cache[(i, e)] = piece
                     factor = piece if factor is None else factor * piece
-            term = Polynomial.monomial(self.ctx, tuple(residual), coeff)
+            term = Polynomial._from_ints(ctx, {mono: coeff}, scaled._den)
             out = out + (term if factor is None else term * factor)
         return out
 
     def _substitute_scalars(self, scalar: Mapping[int, Fraction]) -> "Polynomial":
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in self._terms.items():
-            residual = list(mono)
-            for i, val in scalar.items():
-                e = mono[i]
+        # Term by term: numerator times prod p**e, and a denominator factor
+        # prod q**e that is then cleared to one common denominator.
+        ctx = self.ctx
+        bound = [(i, 1 << ctx._shifts[i], v.numerator, v.denominator)
+                 for i, v in scalar.items()]
+        rows = []
+        for m, c in self._terms.items():
+            q = 1
+            for i, unit, p, d in bound:
+                e = ctx._field(m, i)
                 if e:
-                    residual[i] = 0
-                    coeff = coeff * val**e
-            if not coeff:
-                continue
-            m = tuple(residual)
-            prev = acc.get(m)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff:
-                acc[m] = coeff
-            else:
-                del acc[m]
-        return Polynomial(self.ctx, acc, _clean=True)
+                    m -= e * unit
+                    c *= p**e
+                    q *= d**e
+            if c:
+                rows.append((m, c, q))
+        common = math.lcm(*(q for _, _, q in rows))
+        acc: dict[int, int] = {}
+        for m, c, q in rows:
+            acc[m] = acc.get(m, 0) + c * (common // q)
+        for m in [m for m, v in acc.items() if not v]:
+            del acc[m]
+        return Polynomial._from_ints(ctx, acc, self._den * common)
 
     def _embed(self, value: "Polynomial") -> "Polynomial":
         if value.ctx == self.ctx:
@@ -547,41 +664,40 @@ class Polynomial:
             ) from None
         blank = [0] * self.ctx.nvars
         terms = {}
-        for mono, coeff in value._terms.items():
+        for mono, coeff in zip(value.monomials(), value._terms.values()):
             m = blank[:]
             for pos, e in zip(positions, mono):
                 m[pos] = e
-            terms[tuple(m)] = coeff
-        return Polynomial(self.ctx, terms, _clean=True)
+            terms[self.ctx._pack(self.ctx.check_monomial(m))] = coeff
+        return Polynomial._from_ints(self.ctx, terms, value._den)
 
     def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
         """Evaluate at a full rational point (every used variable bound)."""
         values = {self.ctx.index(name): as_fraction(v) for name, v in point.items()}
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            v = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    if i not in values:
-                        raise RingError(
-                            f"no value given for variable {self.ctx.variables[i]!r}"
-                        )
-                    v = v * values[i] ** e
-            total += v
-        return total
+        used = self.ctx._unpack(reduce(_or, self._terms, 0))
+        for i, e in enumerate(used):
+            if e and i not in values:
+                raise RingError(
+                    f"no value given for variable {self.ctx.variables[i]!r}"
+                )
+        return self._substitute_scalars(values).constant_term()
 
     # ------------------------------------------------------------------
     # equality, hashing, display
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.ctx == other.ctx and self._terms == other._terms
+            return (
+                self.ctx == other.ctx
+                and self._den == other._den
+                and self._terms == other._terms
+            )
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self.ctx, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx, frozenset(self._terms.items())))
+        return hash((self.ctx, self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         from .parse import to_text

@@ -61,6 +61,22 @@ def test_check_rejects_bad_polynomial_with_position(capsys):
     assert "x9" in err
 
 
+def test_leading_minus_values_are_not_options(capsys):
+    code, out, err = run(capsys, "check", "-x1", "--vars", "3", "--hsq", "1")
+    assert code == 1
+    assert "polynomial: -x1" in out
+    assert err == ""
+    # -h is still the help option, matched before the value test.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0
+    assert "usage: cmccheck check" in capsys.readouterr().out
+    code, out, err = run(capsys, "check", "x1", "--vars", "3", "--hsq", "-1/2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: squared mean curvature must be positive\n"
+
+
 def test_check_json_envelope(capsys):
     code, out, _ = run(
         capsys, "check", SPHERE, "--vars", "3", "--hsq", "1", "--json"

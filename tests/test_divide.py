@@ -97,6 +97,29 @@ def test_exponent_guard_is_enforced():
         divide(g, f, "lex")  # quotient term x2 times x2^10 overshoots
 
 
+def test_exponent_guard_holds_for_reduced_terms():
+    # Input exponents stay far below the guard, but reducing x1^4 by
+    # x1 + x2^3 builds x2^12 in the remainder.
+    ctx = RingContext(("x1", "x2"), 2, exponent_guard=10)
+    g = parse_polynomial("x1^4", ctx)
+    f = parse_polynomial("x1 + x2^3", ctx)
+    with pytest.raises(ExponentLimitError):
+        divide(g, f, "lex")
+    res = divide(parse_polynomial("x1^3", ctx), f, "lex")
+    assert res.remainder == parse_polynomial("-x2^9", ctx)
+
+
+def test_lead_with_a_zero_exponent_does_not_divide():
+    # The borrow case: x1^2 - x1*x2 underflows the x2 exponent.
+    for order in ("lex", "grevlex"):
+        res = divide(parse("x1^2"), parse("x1*x2"), order)
+        assert res.quotient.is_zero
+        assert res.remainder == parse("x1^2")
+    res = divide(parse("x1^2*x3 + x2"), parse("x1*x3"), "lex")
+    assert res.quotient == parse("x1")
+    assert res.remainder == parse("x2")
+
+
 def test_deep_reduction_with_rational_lead():
     # A degree-12 dividend against a non-unit rational lead: each working
     # coefficient sits over a power of the lead well past the tenth.

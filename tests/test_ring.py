@@ -261,3 +261,47 @@ def test_exponent_guard():
 def test_euler_identity_randomized():
     check_euler(random.Random(6), CTX3, 100)
     check_euler(random.Random(8), CTXP, 100)
+
+
+def test_exponent_guard_never_carries_into_the_next_variable():
+    # Packed exponents: an over-guard exponent must raise, not spill into
+    # the field of the variable above it.
+    for guard in (2**16 - 1, 10):
+        ctx = RingContext(("x1", "x2", "x3"), 3, exponent_guard=guard)
+        x2 = Polynomial.variable(ctx, "x2")
+        at_guard = Polynomial.monomial(ctx, (0, guard, 0))
+        below = Polynomial.monomial(ctx, (0, guard - 1, 0))
+        with pytest.raises(ExponentLimitError):
+            at_guard * x2
+        with pytest.raises(ExponentLimitError):
+            at_guard * at_guard
+        product = below * x2
+        assert product == at_guard
+        assert raw_terms(product) == {(0, guard, 0): Fraction(1)}
+        assert product.degree_in("x1") == 0
+
+
+def test_equal_rationals_give_equal_polynomials():
+    m = (1, 0, 2)
+    half = Polynomial(CTX3, {m: Fraction(1, 2)})
+    assert Polynomial(CTX3, {m: Fraction(2, 4)}) == half
+    assert hash(Polynomial(CTX3, {m: Fraction(2, 4)})) == hash(half)
+    rng = random.Random(41)
+    for _ in range(30):
+        f = random_polynomial(rng, CTXP, max_degree=4, max_terms=6)
+        assert (f * Fraction(1, 3)) * 3 == f
+        assert hash((f * Fraction(1, 3)) * 3) == hash(f)
+        assert (f - f).is_zero
+        assert f - f == Polynomial.zero(CTXP)
+        assert hash(f - f) == hash(Polynomial.zero(CTXP))
+
+
+def test_degrees_beyond_one_exponent_field():
+    # Four 10-bounded exponents sum past what one 5-bit field holds.
+    ctx = RingContext(("x1", "x2", "x3", "x4"), 4, exponent_guard=10)
+    top = Polynomial.monomial(ctx, (10, 10, 10, 5))
+    f = top + Polynomial.monomial(ctx, (10, 0, 0, 0)) + 1
+    assert f.total_degree() == 35
+    assert f.homogeneous_part(35) == top
+    assert f.high_part(10) == top
+    assert f.homogeneous_part(10) == Polynomial.monomial(ctx, (10, 0, 0, 0))

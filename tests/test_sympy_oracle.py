@@ -1,0 +1,90 @@
+"""Differential checks against sympy, an independent computer algebra system.
+
+sympy is a test-only extra: without it this module is skipped.  The
+defect is rebuilt in sympy's sparse polynomial ring from the coefficients
+of the generic cubic alone, and single-divisor divisions are compared with
+``sympy.reduced``: for one divisor and a fixed monomial order, quotient and
+remainder are unique, so the two systems must agree term for term.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.rings import ring  # noqa: E402
+
+from cmccheck.calculus import symbolic_defect  # noqa: E402
+from cmccheck.cubic import generic_cubic  # noqa: E402
+from cmccheck.divide import divide  # noqa: E402
+from cmccheck.ring import Polynomial, RingContext  # noqa: E402
+from oracles import random_polynomial  # noqa: E402
+
+
+def to_fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def test_symbolic_defect_matches_sympy_n3():
+    f, _ = generic_cubic(3)
+    names = f.ctx.variables
+    R, *gens = ring(",".join(names), sympy.QQ)
+    F = R.from_dict(
+        {m: sympy.QQ(c.numerator, c.denominator) for m, c in f.terms()}
+    )
+    xs = gens[: f.ctx.geometric_count]
+    grad = [F.diff(x) for x in xs]
+    gns = sum((g * g for g in grad), R.zero)
+    lap = sum((F.diff(x).diff(x) for x in xs), R.zero)
+    d1 = 2 * gns * lap - sum((g * gns.diff(x) for g, x in zip(grad, xs)), R.zero)
+    ht = gens[names.index("Ht")]
+    theirs = ht**2 * gns**3 - d1**2
+
+    ours = symbolic_defect(f)
+    assert len(ours) == len(theirs) == 8323
+    assert dict(ours.terms()) == {m: to_fraction(c) for m, c in theirs.items()}
+
+
+def to_sympy(f: Polynomial, symbols):
+    return sympy.Add(
+        *[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[s**e for s, e in zip(symbols, m)])
+            for m, c in f.terms()
+        ]
+    )
+
+
+def from_sympy(expr, symbols, ctx: RingContext) -> Polynomial:
+    terms = sympy.Poly(expr, *symbols, domain=sympy.QQ).as_dict()
+    return Polynomial(ctx, {m: to_fraction(c) for m, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        RingContext.geometric(3),
+        RingContext.with_parameters(["x1", "x2"], ["a", "b"]),
+    ],
+    ids=["geometric", "parameters"],
+)
+def test_division_matches_sympy_reduced(ctx):
+    rng = random.Random(61)
+    symbols = sympy.symbols(ctx.variables)
+    for _ in range(20):
+        g = random_polynomial(rng, ctx, max_degree=5, max_terms=7)
+        f = random_polynomial(rng, ctx, max_degree=3, max_terms=4, allow_zero=False)
+        # 7 divides no numerator here, so every lead becomes a non-integer.
+        f = f * Fraction(rng.randint(1, 5), 7)
+        for order in ("lex", "grevlex"):
+            res = divide(g, f, order)
+            quotients, rem = sympy.reduced(
+                to_sympy(g, symbols), [to_sympy(f, symbols)], *symbols, order=order
+            )
+            # sympy returns no quotient at all for a zero dividend.
+            quotient = quotients[0] if quotients else 0
+            assert res.quotient == from_sympy(quotient, symbols, ctx)
+            assert res.remainder == from_sympy(rem, symbols, ctx)
