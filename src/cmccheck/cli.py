@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -137,13 +138,8 @@ def cmd_decompose(args: argparse.Namespace) -> _Output:
     ctx = _context(args.vars)
     f = parse_polynomial(args.poly, ctx)
     inputs = {"polynomial": to_text(f), "vars": args.vars}
-    parts = {}
-    if not f.is_zero:
-        for k in range(int(f.total_degree()) + 1):
-            part = f.homogeneous_part(k)
-            if not part.is_zero:
-                parts[str(k)] = to_text(part)
-    lines = [f"degree {k}: {parts[k]}" for k in sorted(parts, key=int)] or ["0"]
+    parts = {str(k): to_text(p) for k, p in f.homogeneous_parts().items()}
+    lines = [f"degree {k}: {text}" for k, text in parts.items()] or ["0"]
     return inputs, {"parts": parts}, 0, lines
 
 
@@ -357,9 +353,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             "inputs": inputs,
             "result": result,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        text = json.dumps(envelope, sort_keys=True, indent=2)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Send what is still buffered to
+        # the null device so the interpreter's final flush stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

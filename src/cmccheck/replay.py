@@ -27,6 +27,10 @@ where the chain first breaks.  The printed closed-form expansion of
 transcription fidelity note outside the pass/fail chain: the chain itself
 only ever uses the congruence of step 2.
 
+Steps 3 to 5 read only degrees above 7, so they build only those: they
+multiply homogeneous parts of ``|grad f|^2`` and ``delta1 f`` whose degrees
+add up past 7, and the defect exists only as its parts of degree 8 to 12.
+
 The two supported mutations are deliberate corruptions used as negative
 controls: ``"cubic-part"`` replaces the leading ``x^3`` by ``x^2 y_1``,
 which step 1 catches, and ``"defect-sign"`` flips the sign of the
@@ -163,6 +167,22 @@ def _exact_quotient(
     return res.quotient, res.remainder
 
 
+def _product_above(
+    a: dict[int, Polynomial], b: dict[int, Polynomial], above: int
+) -> dict[int, Polynomial]:
+    """The parts of degree > ``above`` of ``sum(a) * sum(b)``, for ``a`` and
+    ``b`` mapping degrees to homogeneous parts; a square (``a is b``) forms
+    each cross product once, doubled."""
+    out: dict[int, Polynomial] = {}
+    for i, p in a.items():
+        for j, q in b.items():
+            if i + j <= above or (a is b and j < i):
+                continue
+            pq = p * q if a is not b or i == j else p * 2 * q
+            out[i + j] = out[i + j] + pq if i + j in out else pq
+    return out
+
+
 def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
     """Recompute the identity chain for dimension ``n`` (n >= 3)."""
     if mutation is not None and mutation not in MUTATIONS:
@@ -183,15 +203,17 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
     try:
         current = "gradsq-parts"
+        zero = Polynomial.zero(ctx)
         gradsq = grad_norm_sq(f)
+        gparts = gradsq.homogeneous_parts()
         parts = _expected_parts(spec)
-        residual = gradsq - sum(parts, Polynomial.zero(ctx))
+        residual = gradsq - sum(parts, zero)
         if residual.is_zero:
             # The sum matching forces every homogeneous part to match, the
             # expected parts being homogeneous of their labeled degrees;
             # check anyway so a non-homogeneous builder cannot slip through.
             for k in range(5):
-                diff = gradsq.homogeneous_part(k) - parts[k]
+                diff = gparts.get(k, zero) - parts[k]
                 if not diff.is_zero:
                     residual = diff
                     break
@@ -209,8 +231,11 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
                        detail="delta1 = 4 trace(A) |grad f|^2 above degree 3")
         )
 
+        # Steps 3 to 5 read only degrees above 7 (see the module docstring);
+        # |grad f|^4 keeps the parts whose product with |grad f|^2 gets there.
         current = "gradsq-square"
-        residual = (gradsq**2 - x**8 * 81).high_part(7)
+        gsq4 = _product_above(gparts, gparts, 7 - max(gparts, default=0))
+        residual = sum((p for k, p in gsq4.items() if k > 7), zero) - x**8 * 81
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
                        residual=None if residual.is_zero else residual,
@@ -218,8 +243,9 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         )
 
         current = "delta1-square"
-        d1sq = d1 * d1
-        residual = (d1sq - trace**2 * x**8 * 1296).high_part(7)
+        d1parts = d1.homogeneous_parts()
+        d1sq = _product_above(d1parts, d1parts, 7)
+        residual = sum(d1sq.values(), zero) - trace**2 * x**8 * 1296
         run(
             ReplayStep(current, "pass" if residual.is_zero else "fail",
                        residual=None if residual.is_zero else residual,
@@ -227,9 +253,12 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         )
 
         current = "defect-valuations"
-        defect = ht * ht * gradsq**3
-        defect = defect + d1sq if mutation == "defect-sign" else defect - d1sq
-        dpart = {k: defect.homogeneous_part(k) for k in range(8, 13)}
+        gsq6 = _product_above(gsq4, gparts, 7)
+        sign = 1 if mutation == "defect-sign" else -1
+        dpart = {
+            k: ht * ht * gsq6.get(k, zero) + d1sq.get(k, zero) * sign
+            for k in range(8, 13)
+        }
         vals = {k: dpart[k].valuation("x1") for k in range(8, 13)}
         bad = [k for k in range(8, 13) if vals[k] < 2 * k - 12]
         detail = ", ".join(f"deg {k}: val {vals[k]} (need {2*k-12})" for k in range(8, 13))
@@ -238,10 +267,10 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
         y0 = {f"x{i}": Fraction(0) for i in range(2, n + 1)}
         axis_cube = (
-            ht * ht * sum(parts, Polynomial.zero(ctx)).substitute(y0) ** 3
-        )
+            ht * ht * sum(parts, zero).substitute(y0) ** 3
+        ).homogeneous_parts()
         axis_diff = {
-            k: dpart[k].substitute(y0) - axis_cube.homogeneous_part(k)
+            k: dpart[k].substitute(y0) - axis_cube.get(k, zero)
             for k in range(8, 13)
         }
         axis_diff[8] = axis_diff[8] + trace**2 * x**8 * 1296
@@ -259,9 +288,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             run(ReplayStep(current, "pass", detail=detail))
 
         current = "cascade-division"
-        f1 = f.homogeneous_part(1)
-        f2 = f.homogeneous_part(2)
-        f3 = f.homogeneous_part(3)
+        fparts = f.homogeneous_parts()
+        f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
         cascade_residual = None
         p9, rem = _exact_quotient(dpart[12], f3)
         if not rem.is_zero:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -407,9 +408,6 @@ class Polynomial:
             return self.ctx._unpack(max(self._terms))
         return max(self.monomials(), key=key)
 
-    def max_exponent(self) -> int:
-        return max((max(m) for m in self.monomials()), default=0)
-
     def total_degree(self) -> Union[int, float]:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""
         if not self._terms:
@@ -440,6 +438,17 @@ class Polynomial:
     def homogeneous_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree exactly ``k``."""
         return self._degree_filter(k.__eq__)
+
+    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
+        """The nonzero homogeneous parts keyed by degree, ascending, split
+        in one pass; ``{}`` for the zero polynomial."""
+        split: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for (m, c), k in zip(self._terms.items(), self.ctx._degrees(self._terms)):
+            split[k][m] = c
+        return {
+            k: Polynomial._from_ints(self.ctx, split[k], self._den)
+            for k in sorted(split)
+        }
 
     def high_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree strictly above ``k``.

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmccheck
 from cmccheck.cli import TERM_CAP, _clip, main
 from cmccheck.ring import Polynomial, RingContext
 
@@ -229,3 +234,30 @@ def test_clip_respects_term_cap():
     small = x + 1
     assert _clip(small, full=False) == "x1 + 1"
     assert _clip(None, full=False) is None
+
+
+def test_closed_stdout_exits_quietly_with_the_command_code():
+    """A reader that has gone (``| head``) costs no traceback: the command
+    keeps its own exit code and writes nothing to stderr, whether its output
+    overflows the stdout buffer (the 9 kB defect) or is still buffered at
+    exit (the short check)."""
+    # Without PYTHONUNBUFFERED, stdout on a pipe is block-buffered, as in
+    # an ordinary shell pipeline.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cmccheck.__file__).parents[1])
+    cases = [
+        (["defect", "(x1+x2+x3)^3+x1^2+x2", "--vars", "3", "--hsq", "1",
+          "--full"], 0),
+        (["check", SPHERE, "--vars", "3", "--hsq", "2", "--json"], 1),
+    ]
+    for argv, code in cases:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmccheck", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (code, ""), argv

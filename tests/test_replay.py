@@ -1,10 +1,11 @@
+import importlib
 import random
 import re
 
 import pytest
 from fractions import Fraction
 
-from cmccheck.calculus import delta1, grad_norm_sq
+from cmccheck.calculus import delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cubic import generic_cubic
 from cmccheck.divide import divides
 from cmccheck.replay import (
@@ -193,3 +194,60 @@ def test_replay_reports_are_self_contained():
     for step in report.steps:
         assert step.status in ("pass", "fail")
         assert step.detail != "" or step.residual is not None
+
+
+# ``cmccheck.replay`` the attribute is the function; this is the module.
+replay_module = importlib.import_module("cmccheck.replay")
+
+
+def test_graded_defect_parts_equal_the_full_defect():
+    """Steps 3 to 5 form |grad f|^4 above degree 3, |grad f|^6 and
+    (delta1 f)^2 above degree 7, from homogeneous parts only; their parts
+    must equal those of the fully multiplied products."""
+    product_above = replay_module._product_above
+    for n in (3, 4):
+        f, spec = generic_cubic(n)
+        ht = Polynomial.variable(f.ctx, spec.curvature_name)
+        zero = Polynomial.zero(f.ctx)
+        gradsq, d1 = grad_norm_sq(f), delta1(f)
+        gparts, d1parts = gradsq.homogeneous_parts(), d1.homogeneous_parts()
+        gsq4 = product_above(gparts, gparts, 3)
+        gsq6 = product_above(gsq4, gparts, 7)
+        d1sq = product_above(d1parts, d1parts, 7)
+        full_gsq4 = gradsq * gradsq
+        assert sorted(gsq4) == list(range(4, 9)), n
+        for k in range(4, 9):
+            assert gsq4[k] == full_gsq4.homogeneous_part(k), (n, k)
+        assert sum(d1sq.values(), zero) == (d1 * d1).high_part(7), n
+        defect = symbolic_defect(f, spec.curvature_name)
+        for k in range(8, 13):
+            graded = ht * ht * gsq6.get(k, zero) - d1sq.get(k, zero)
+            assert graded == defect.homogeneous_part(k), (n, k)
+        assert defect.high_part(12).is_zero, n
+
+
+def _full_product_above(a, b, above):
+    """Reference for ``_product_above``: multiply the whole sums, then keep
+    the parts above ``above``."""
+    polys = list(a.values()) + list(b.values())
+    if not polys:
+        return {}
+    zero = Polynomial.zero(polys[0].ctx)
+    full = sum(a.values(), zero) * sum(b.values(), zero)
+    top = int(full.total_degree()) if not full.is_zero else above
+    parts = {k: full.homogeneous_part(k) for k in range(above + 1, top + 1)}
+    return {k: p for k, p in parts.items() if not p.is_zero}
+
+
+def test_graded_replay_matches_a_full_product_reference(monkeypatch):
+    # ReplayStep equality compares name, status, residual, witness, detail.
+    for n in (3, 4):
+        for mutation in (None, "cubic-part", "defect-sign"):
+            graded = replay(n, mutation)
+            with monkeypatch.context() as m:
+                m.setattr(replay_module, "_product_above", _full_product_above)
+                reference = replay(n, mutation)
+            assert graded.steps == reference.steps, (n, mutation)
+            assert graded.overall == reference.overall, (n, mutation)
+            assert (graded.delta1_expansion_residual
+                    == reference.delta1_expansion_residual), (n, mutation)

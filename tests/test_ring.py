@@ -143,6 +143,31 @@ def test_homogeneous_parts_project_and_reconstruct():
             assert f.high_part(k) == f - low
 
 
+def test_homogeneous_parts_split_in_one_pass():
+    """The parts sum back to f, each is homogeneous of its key, none is
+    zero, keys ascend, and the zero polynomial has no parts."""
+    assert Polynomial.zero(CTXP).homogeneous_parts() == {}
+    wide = RingContext(("x1", "x2", "x3", "x4"), 4, exponent_guard=10)
+    rng = random.Random(23)
+    cases = [random_polynomial(rng, ctx, max_degree=6, max_terms=10)
+             for ctx in (CTX3, CTXP) for _ in range(60)]
+    # Rational coefficients over a shared denominator, and the field-by-field
+    # degree path of a context whose degrees overflow one exponent field.
+    cases += [f * Fraction(3, 4) + Fraction(1, 6) for f in cases[:20]]
+    cases.append(Polynomial.monomial(wide, (10, 10, 10, 5), Fraction(1, 2))
+                 + Polynomial.monomial(wide, (10, 0, 0, 0)) + 1)
+    for f in cases:
+        parts = f.homogeneous_parts()
+        assert list(parts) == sorted(parts)
+        assert sum(parts.values(), Polynomial.zero(f.ctx)) == f
+        for k, part in parts.items():
+            assert not part.is_zero
+            assert part.homogeneous_part(k) == part
+            assert part == f.homogeneous_part(k)
+        if not f.is_zero:
+            assert max(parts) == f.total_degree()
+
+
 def test_high_part_congruence_example():
     x = var(CTXP, "x1")
     a = var(CTXP, "a")
