@@ -3,8 +3,13 @@
 ``golden_cli.json`` holds a fixed list of fast commands, each in text and
 ``--json`` mode, with the exit code and standard output they produced
 when the file was recorded, and standard error for the exit-2 inputs.
+``golden_usage.json`` holds argparse's own output: the top-level and
+per-command help, and the usage errors argparse raises itself (no
+command, an unknown command, a missing option, a bad choice, a bad int,
+an unknown option), recorded with ``COLUMNS=80``.
 Refactors of the CLI and the kernel must reproduce every entry exactly;
-the file is a record, so it is never regenerated to make this test pass.
+the files are records, so they are never regenerated to make this test
+pass.
 """
 
 import json
@@ -15,6 +20,7 @@ import pytest
 from cmccheck.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text())
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
@@ -24,3 +30,17 @@ def test_golden_cli_output(entry, capsys):
     assert code == entry["exit_code"]
     assert captured.out == entry["stdout"]
     assert captured.err == entry.get("stderr", "")
+
+
+@pytest.mark.parametrize(
+    "entry", USAGE, ids=[" ".join(e["argv"]) or "<none>" for e in USAGE]
+)
+def test_golden_usage_output(entry, capsys, monkeypatch):
+    # argparse wraps help and usage at the terminal width it reads here.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(entry["argv"]))
+    captured = capsys.readouterr()
+    assert exc.value.code == entry["exit_code"]
+    assert captured.out == entry["stdout"]
+    assert captured.err == entry["stderr"]
