@@ -27,10 +27,12 @@ from .ring import Polynomial, RingContext, RingError
 
 SCHEMA_VERSION = "1"
 TERM_CAP = 200
+# An integer or a fraction with a nonzero denominator, in ASCII digits.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _rational(text: str) -> Fraction:
-    if "." in text or "e" in text or "E" in text:
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(text)
 
@@ -256,90 +258,83 @@ def cmd_sweep(args: argparse.Namespace) -> _Output:
 # ----------------------------------------------------------------------
 # parser
 
+# One entry per command: its help line and its ``(flag, add_argument
+# kwargs)`` rows; every command also takes the ``_COMMON`` rows.  The
+# handler of command ``name`` is ``cmd_<name>`` ("-" read as "_"), looked up
+# when a parser is built, so a rebound handler is the one that runs.
+_NEEDED_INT = {"type": int, "required": True}
+_POLY_VARS = [("poly", {}), ("--vars", _NEEDED_INT)]
+_COMMANDS = {
+    "check": ("decide divisibility of the defect", [
+        ("poly", {"help": "polynomial over x1..xN"}),
+        ("--vars", {**_NEEDED_INT, "help": "number of variables N"}),
+        ("--hsq", {"required": True, "help":
+                   "squared mean curvature as a rational (e.g. 1/4), or 'solve'"}),
+    ]),
+    "defect": ("print the defect polynomial",
+               _POLY_VARS + [("--hsq", {"required": True})]),
+    "decompose": ("split into homogeneous parts", _POLY_VARS),
+    "cube-test": ("is this cubic form a linear form cubed?", _POLY_VARS),
+    "surface": ("build a model surface with its certificate", [
+        ("kind", {"choices": ["sphere", "cylinder", "plane"]}),
+        ("--n", {**_NEEDED_INT, "help": "ambient dimension"}),
+        ("--rsq", {"default": "1", "help": "squared radius (rational)"}),
+    ]),
+    "replay": ("replay the cubic nonexistence chain",
+               [("--n", {**_NEEDED_INT, "help": "dimension (>= 3)"})]),
+    "sweep": ("random search for admissible curvatures", [
+        ("--n", _NEEDED_INT),
+        ("--count", _NEEDED_INT),
+        ("--bound", {"type": int, "default": 5, "help": "coefficient bound"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--degree", {"type": int, "choices": [2, 3], "default": 3, "help":
+                      "3: cubic refutation sweep, 2: sphere positive control"}),
+    ]),
+}
+_COMMON = [
+    ("--json", {"action": "store_true", "help": "emit a JSON envelope"}),
+    ("--full", {"action": "store_true", "help":
+                f"print polynomials beyond the {TERM_CAP}-term display cap"}),
+]
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cmccheck",
-        description=(
-            "Exact divisibility checker for constant-mean-curvature "
-            "polynomial level sets"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        sp.add_argument(
-            "--full",
-            action="store_true",
-            help=f"print polynomials beyond the {TERM_CAP}-term display cap",
-        )
-
-    sp = sub.add_parser("check", help="decide divisibility of the defect")
-    sp.add_argument("poly", help="polynomial over x1..xN")
-    sp.add_argument("--vars", type=int, required=True, help="number of variables N")
-    sp.add_argument(
-        "--hsq",
-        required=True,
-        help="squared mean curvature as a rational (e.g. 1/4), or 'solve'",
-    )
-    add_common(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("defect", help="print the defect polynomial")
-    sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, required=True)
-    sp.add_argument("--hsq", required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_defect)
-
-    sp = sub.add_parser("decompose", help="split into homogeneous parts")
-    sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("cube-test", help="is this cubic form a linear form cubed?")
-    sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_cube_test)
-
-    sp = sub.add_parser("surface", help="build a model surface with its certificate")
-    sp.add_argument("kind", choices=["sphere", "cylinder", "plane"])
-    sp.add_argument("--n", type=int, required=True, help="ambient dimension")
-    sp.add_argument("--rsq", default="1", help="squared radius (rational)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_surface)
-
-    sp = sub.add_parser("replay", help="replay the cubic nonexistence chain")
-    sp.add_argument("--n", type=int, required=True, help="dimension (>= 3)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_replay)
-
-    sp = sub.add_parser("sweep", help="random search for admissible curvatures")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--bound", type=int, default=5, help="coefficient bound")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--degree", type=int, choices=[2, 3], default=3,
-        help="3: cubic refutation sweep, 2: sphere positive control",
-    )
-    add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
+def _fill(parser: argparse.ArgumentParser, name: str) -> None:
+    for flag, kwargs in _COMMANDS[name][1] + _COMMON:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     # A polynomial or rational may start with "-" ("-x1", "-1/2"): read any
     # single-dash word that is not a known option as a value.  Known options
     # such as -h are matched before this test.
-    for sp in sub.choices.values():
-        sp._negative_number_matcher = re.compile(r"^-[^-]")
+    parser._negative_number_matcher = re.compile(r"^-[^-]")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, which parses, prints and rejects as
+    its subparser in the full parser does, or the full parser when None."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"cmccheck {command}")
+        parser.set_defaults(command=command)
+        _fill(parser, command)
+        return parser
+    parser = argparse.ArgumentParser(prog="cmccheck", description=(
+        "Exact divisibility checker for constant-mean-curvature "
+        "polynomial level sets"))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's parser is built.  Top-level help, a missing or
+    # unknown command and an unknown option (which argparse reports with the
+    # top-level usage line) need the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command:
+        args, extra = build_parser(command).parse_known_args(argv[1:])
+    if not command or extra:
+        args = build_parser().parse_args(argv)
     try:
         inputs, result, code, lines = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

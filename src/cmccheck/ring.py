@@ -638,13 +638,22 @@ class Polynomial:
         return out
 
     def _substitute_scalars(self, scalar: Mapping[int, Fraction]) -> "Polynomial":
-        # Term by term: numerator times prod p**e, and a denominator factor
-        # prod q**e that is then cleared to one common denominator.
+        # A term that holds a variable bound to 0 vanishes: one mask test
+        # drops it.  The rest go term by term: numerator times prod p**e,
+        # and a denominator factor prod q**e that is then cleared to one
+        # common denominator.
         ctx = self.ctx
-        bound = [(i, 1 << ctx._shifts[i], v.numerator, v.denominator)
-                 for i, v in scalar.items()]
+        zeros = 0
+        bound = []
+        for i, v in scalar.items():
+            if v:
+                bound.append((i, 1 << ctx._shifts[i], v.numerator, v.denominator))
+            else:
+                zeros |= ctx._mask << ctx._shifts[i]
         rows = []
         for m, c in self._terms.items():
+            if m & zeros:
+                continue
             q = 1
             for i, unit, p, d in bound:
                 e = ctx._field(m, i)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cmccheck
+from cmccheck import cli
 from cmccheck.cli import TERM_CAP, _clip, main
 from cmccheck.ring import Polynomial, RingContext
 
@@ -57,6 +58,31 @@ def test_check_rejects_nonpositive_and_float_curvature(capsys):
     assert "not an exact rational" in err
 
 
+def test_rationals_are_strict(capsys):
+    """Only ``[+-]digits[/digits]`` in ASCII digits with a nonzero
+    denominator is a rational; everything else is rejected with one message,
+    whatever ``Fraction`` itself would accept or raise."""
+    rejected = [
+        "1/0", "-3/00", "0/0", "1_000", "1/2_0", "0.5", "1e3", "inf", "nan",
+        "", " 1", "1 ", "1/", "/2", "1/-2", "+-1", "1/2/3", "0x10",
+        "\u0663", "\uff11",
+    ]
+    for text in rejected:
+        for argv in (
+            ["check", "x1", "--vars", "3", "--hsq", text],
+            ["defect", "x1", "--vars", "3", "--hsq", text],
+            ["surface", "sphere", "--n", "3", "--rsq", text],
+        ):
+            expected = (2, "", f"error: not an exact rational: {text!r}\n")
+            assert run(capsys, *argv) == expected, argv
+    code, out, _ = run(capsys, "check", SPHERE, "--vars", "3", "--hsq", "+01/1")
+    assert code == 0
+    assert "hsq: 1\n" in out
+    code, out, _ = run(capsys, "surface", "sphere", "--n", "3", "--rsq", "04/01")
+    assert code == 0
+    assert "hsq: 1/4\n" in out
+
+
 def test_check_rejects_bad_polynomial_with_position(capsys):
     code, _, err = run(capsys, "check", "x1 + + x2", "--vars", "3", "--hsq", "1")
     assert code == 2
@@ -80,6 +106,45 @@ def test_leading_minus_values_are_not_options(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: squared mean curvature must be positive\n"
+
+
+def test_handler_is_looked_up_when_the_parser_is_built(capsys, monkeypatch):
+    """A handler rebound on the module after import, as a tracer rebinds
+    it, is the one that runs; a table that captured ``cmd_check`` at import
+    would call the original."""
+    seen = []
+
+    def stub(args):
+        seen.append((args.command, args.poly, args.vars, args.hsq))
+        return {}, {}, 0, ["stub ran"]
+
+    monkeypatch.setattr(cli, "cmd_check", stub)
+    assert run(capsys, "check", "x1", "--vars", "3", "--hsq", "1") == (
+        0, "stub ran\n", ""
+    )
+    assert seen == [("check", "x1", 3, "1")]
+
+
+def test_only_the_named_command_parser_is_built(capsys, monkeypatch):
+    """A run of one command builds that command's parser alone; the full
+    parser is built only to report a usage error with its own usage line."""
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    run(capsys, "check", SPHERE, "--vars", "3", "--hsq", "1")
+    run(capsys, "replay", "--n", "3", "--json")
+    assert built == ["check", "replay"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["check", "x1", "--vars", "3", "--hsq", "1", "--bogus"])
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == ["check", None, None]
 
 
 def test_check_json_envelope(capsys):

@@ -262,6 +262,24 @@ def test_substitute_agrees_with_evaluate():
         assert via_subst == Polynomial.constant(CTXP, direct)
 
 
+def test_zero_scalars_agree_with_constant_polynomial_values():
+    """Scalars bound to 0 drop whole terms by a mask test; the same values
+    bound as constant polynomials go term by term through the polynomial
+    path, so the two must agree."""
+    rng = random.Random(31)
+    for ctx in (CTX3, CTXP, RingContext.geometric(3, order="lex")):
+        for _ in range(60):
+            f = random_polynomial(rng, ctx, max_degree=5, max_terms=8)
+            values = {
+                name: rng.choice([0, Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+                for name in rng.sample(ctx.variables, rng.randint(1, ctx.nvars))
+            }
+            as_polys = {k: Polynomial.constant(ctx, v) for k, v in values.items()}
+            assert f.substitute(values) == f.substitute(as_polys)
+        zeros = {name: 0 for name in ctx.variables}
+        assert f.substitute(zeros) == Polynomial.constant(ctx, f.constant_term())
+
+
 def test_evaluate_requires_used_variables():
     f = var(CTX3, "x1") + var(CTX3, "x2")
     with pytest.raises(RingError):
