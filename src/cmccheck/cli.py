@@ -27,6 +27,14 @@ from .ring import Polynomial, RingContext, RingError
 
 SCHEMA_VERSION = "1"
 TERM_CAP = 200
+# Upper bounds on dimensions, checked before any ring context is built.
+# ``--vars`` and ``surface --n`` only size the ring; a sweep sample costs
+# about as many terms as there are degree-12 monomials in n variables
+# (n = 8: 2 s and 41 MB, n = 9: 7 s and 89 MB); ``replay --n 10`` takes
+# about 9 s and 340 MB, and n = 12 takes 52 s and 1.4 GB.
+MAX_VARS = 64
+MAX_SWEEP_N = 8
+MAX_REPLAY_N = 10
 # An integer or a fraction with a nonzero denominator, in ASCII digits.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -37,10 +45,16 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _at_most(value: int, cap: int, flag: str) -> int:
+    if value > cap:
+        raise RingError(f"{flag} must be at most {cap}")
+    return value
+
+
 def _context(nvars: int) -> RingContext:
     if nvars < 1:
         raise RingError("--vars must be at least 1")
-    return RingContext.geometric(nvars)
+    return RingContext.geometric(_at_most(nvars, MAX_VARS, "--vars"))
 
 
 def _clip(
@@ -158,7 +172,9 @@ def cmd_cube_test(args: argparse.Namespace) -> _Output:
 
 def cmd_surface(args: argparse.Namespace) -> _Output:
     rsq = _rational(args.rsq)
-    f, hsq, certificate = make_surface(args.kind, args.n, rsq)
+    f, hsq, certificate = make_surface(
+        args.kind, _at_most(args.n, MAX_VARS, "--n"), rsq
+    )
     inputs = {"kind": args.kind, "n": args.n, "rsq": args.rsq}
     verified = True
     if hsq is not None:
@@ -186,7 +202,7 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
 def cmd_replay(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise RingError("replay needs dimension n >= 3")
-    report = replay(args.n)
+    report = replay(_at_most(args.n, MAX_REPLAY_N, "--n"))
     steps = [
         {
             "name": s.name,
@@ -223,8 +239,9 @@ def cmd_replay(args: argparse.Namespace) -> _Output:
 
 
 def cmd_sweep(args: argparse.Namespace) -> _Output:
+    n = _at_most(args.n, MAX_SWEEP_N, "--n")
     report = refutation_sweep(
-        args.n, args.count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
+        n, args.count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
     )
     inputs = {
         "n": args.n,

@@ -69,13 +69,25 @@ def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
 def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     """The unique admissible squared curvature for ``f``, if any.
 
-    The defect is linear in ``hsq`` for fixed ``f``: with
-    ``G = |grad f|^6`` and ``E = (delta1 f)^2``, divisibility of
-    ``4 (n-1)^2 hsq G - E`` by ``f`` holds exactly when the reduced
-    residues of ``G`` and ``E`` modulo ``f`` are proportional with the
-    right positive ratio.  Remainders modulo a single divisor are unique
-    for a fixed monomial order, so proportionality of remainders decides
-    the question outright.
+    With ``G = |grad f|^6``, ``E = (delta1 f)^2`` and ``c = 4 (n-1)^2 hsq``
+    the defect is ``c G - E``, linear in ``hsq`` for fixed ``f``.
+
+    First a necessary condition on the top form ``f_d`` (``d = deg f``):
+    ``f_d`` must divide ``|grad f_d|^6``.  Proof: ``E`` has degree at most
+    ``6(d-1) - 2``, so the degree-``6(d-1)`` part of ``c G - E`` is
+    ``c |grad f_d|^6``, which is nonzero (a sum of squares of nonzero
+    polynomials over the rationals).  If ``p f = c G - E``, the top part of
+    ``p f`` is ``p_top f_d``, since the coefficients form an integral
+    domain; so ``f_d`` divides ``c |grad f_d|^6``.  If both ``G`` and ``E``
+    are divisible by ``f``, then so is ``G - E``, and the same argument
+    applies.  Random dense cubics fail here, on a dividend of one degree
+    alone.
+
+    Otherwise ``f`` divides ``c G - E`` exactly when the reduced residues
+    of ``G`` and ``E`` modulo ``f`` are proportional with the right
+    positive ratio.  Remainders modulo a single divisor are unique for a
+    fixed monomial order, so proportionality of remainders decides the
+    question outright.
     """
     deg = f.total_degree()
     if isinstance(deg, float) or deg < 1:
@@ -83,6 +95,9 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     n = f.ctx.geometric_count
     if n < 2:
         raise RingError("defect needs at least two geometric variables")
+    top = f.homogeneous_part(int(deg))
+    if not divide(grad_norm_sq(top) ** 3, top).remainder.is_zero:
+        return None
     g6 = grad_norm_sq(f) ** 3
     d1 = delta1(f)
     r1 = divide(g6, f).remainder

@@ -403,10 +403,8 @@ class Polynomial:
     def leading_monomial(self, order: Optional[str] = None) -> tuple[int, ...]:
         if not self._terms:
             raise RingError("zero polynomial has no leading monomial")
-        key = self.ctx.monomial_key(order)
-        if key is lex_key:
-            return self.ctx._unpack(max(self._terms))
-        return max(self.monomials(), key=key)
+        key, unkey = self.ctx._heap_key(order or self.ctx.order)
+        return self.ctx._unpack(unkey(min(map(key, self._terms))))
 
     def total_degree(self) -> Union[int, float]:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""

@@ -282,6 +282,35 @@ def test_sweep_rejects_bad_dimension(capsys):
     assert "error:" in err
 
 
+def test_dimensions_are_bounded_before_any_context_is_built(capsys, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("a ring context was about to be built")
+
+    monkeypatch.setattr(RingContext, "geometric", no_context)
+    for builder in ("make_surface", "refutation_sweep", "replay"):
+        monkeypatch.setattr(cli, builder, no_context)
+    for argv, flag, cap in (
+        (["check", "x1", "--vars", "100000000", "--hsq", "1"], "--vars", cli.MAX_VARS),
+        (["surface", "sphere", "--n", "100000000"], "--n", cli.MAX_VARS),
+        (["sweep", "--n", "100000000", "--count", "1"], "--n", cli.MAX_SWEEP_N),
+        (["replay", "--n", "1000000"], "--n", cli.MAX_REPLAY_N),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be at most {cap}\n"
+
+
+def test_dimension_caps_are_inclusive(capsys):
+    code, out, _ = run(capsys, "check", "x1", "--vars", str(cli.MAX_VARS), "--hsq", "1")
+    assert code == 1 and "verdict: not divisible" in out
+    code, out, _ = run(capsys, "surface", "cylinder", "--n", str(cli.MAX_VARS))
+    assert code == 0 and "verified: yes" in out
+    code, out, _ = run(
+        capsys, "sweep", "--n", str(cli.MAX_SWEEP_N), "--count", "1", "--degree", "2"
+    )
+    assert code == 0 and "admissible: 1 of 1" in out
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

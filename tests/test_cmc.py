@@ -3,18 +3,20 @@ import random
 import pytest
 from fractions import Fraction
 
-from cmccheck.calculus import cmc_defect
+from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq
 from cmccheck.cmc import (
     IRREDUCIBILITY_WARNING,
     SINGULARITY_WARNING,
+    _random_cubic,
     check_cmc,
     make_surface,
     refutation_sweep,
     solve_hsq,
 )
+from cmccheck.divide import divide
 from cmccheck.parse import parse_polynomial
 from cmccheck.ring import Polynomial, RingContext, RingError
-from oracles import random_point
+from oracles import random_coeff, random_homogeneous, random_point, random_polynomial
 
 
 def sphere(n, rsq=1):
@@ -134,6 +136,101 @@ def test_solve_hsq_validation():
     ctx1 = RingContext.geometric(1)
     with pytest.raises(RingError):
         solve_hsq(Polynomial.variable(ctx1, "x1"))
+
+
+def _solve_hsq_reference(f):
+    """``solve_hsq`` without the top-form test: both residues, every time."""
+    n = f.ctx.geometric_count
+    d1 = delta1(f)
+    r1 = divide(grad_norm_sq(f) ** 3, f).remainder
+    r2 = divide(d1 * d1, f).remainder
+    if r1.is_zero:
+        return Fraction(1) if r2.is_zero else None
+    lead = r1.leading_monomial()
+    c2 = r2.coefficient(lead)
+    if not c2:
+        return None
+    ratio = c2 / r1.coefficient(lead)
+    if ratio <= 0 or r1 * ratio != r2:
+        return None
+    return ratio / (4 * (n - 1) ** 2)
+
+
+def _solve_hsq_cases(rng):
+    """Inputs that fail the top-form test, pass it and miss, or are hits."""
+    for n, count in ((3, 12), (4, 4)):
+        ctx = RingContext.geometric(n)
+        for _ in range(count):
+            yield _random_cubic(rng, ctx, 5)
+    for n in (2, 3, 4):
+        ctx = RingContext.geometric(n)
+        xs = [Polynomial.variable(ctx, v) for v in ctx.geometric_variables]
+        for _ in range(4):
+            line = sum((x * rng.randint(-3, 3) for x in xs), Polynomial.zero(ctx))
+            if line.is_zero:
+                line = xs[0]
+            lower = random_polynomial(rng, ctx, max_degree=2, max_terms=4)
+            yield line**3 + rng.choice((0, 1)) * lower
+        for _ in range(3):
+            yield random_homogeneous(rng, ctx, 2, 4) + random_polynomial(rng, ctx, 1, 3)
+        for kind in ("sphere", "cylinder"):
+            rsq = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            f, _, _ = make_surface(kind, n, rsq)
+            shift = {
+                x: Polynomial.variable(ctx, x) + random_coeff(rng, 3)
+                for x in ctx.geometric_variables
+            }
+            yield f.substitute(shift) * random_coeff(rng)
+        yield random_homogeneous(rng, ctx, 1) + rng.randint(-3, 3)
+    for n in (2, 3):
+        ctx = RingContext.geometric(n)
+        x1, x2 = Polynomial.variable(ctx, "x1"), Polynomial.variable(ctx, "x2")
+        yield random_homogeneous(rng, ctx, 4, 3) + random_polynomial(rng, ctx, 3, 3)
+        yield x1**4 + random_polynomial(rng, ctx, 3, 3)
+        yield (x1**2 + x2**2) ** 2 - rng.randint(1, 4)
+    ctx = RingContext.with_parameters(["x1", "x2", "x3"], ["a"])
+    x1, x2, x3, a = (Polynomial.variable(ctx, v) for v in ctx.variables)
+    yield x1**2 + x2**2 + x3**2 - 1
+    yield x1**2 + x2**2 + x3**2 - a
+    yield a * x1**3 + x2**2 - 1
+    yield (x1 + a * x2) ** 3 + x3
+    for _ in range(3):
+        yield random_homogeneous(rng, ctx, 3, 4) + random_polynomial(rng, ctx, 2, 3)
+
+
+def test_solve_hsq_matches_the_full_residue_test():
+    rng = random.Random(8)
+    outcomes = set()
+    for f in _solve_hsq_cases(rng):
+        expected = _solve_hsq_reference(f)
+        assert solve_hsq(f) == expected, f
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
+    calls = []
+
+    def spy(g, f, *args, **kwargs):
+        calls.append((g, f))
+        return divide(g, f, *args, **kwargs)
+
+    monkeypatch.setattr("cmccheck.cmc.divide", spy)
+    ctx = RingContext.geometric(3)
+    f = _random_cubic(random.Random(1), ctx, 5)
+    assert solve_hsq(f) is None
+    [(dividend, divisor)] = calls
+    assert not dividend.is_zero
+    assert dividend.homogeneous_parts().keys() == {12}
+    assert divisor == f.homogeneous_part(3)
+    # Inputs whose top form passes still run both residues modulo f.
+    for f, expected in (
+        (parse_polynomial("x1^3 + x2^2 - 1", ctx), None),
+        (sphere(3, 4)[0], Fraction(1, 4)),
+    ):
+        calls.clear()
+        assert solve_hsq(f) == expected
+        assert [d for _, d in calls] == [f.homogeneous_part(f.total_degree()), f, f]
 
 
 def test_defect_scaling_law():

@@ -12,6 +12,7 @@ from cmccheck.ring import (
     RingError,
     UnknownVariableError,
     grevlex_key,
+    lex_key,
 )
 from oracles import (
     check_euler,
@@ -75,6 +76,21 @@ def test_floats_rejected_everywhere():
 def test_grevlex_order_example():
     # x*y^2 beats x^2*z in grevlex despite equal total degree.
     assert grevlex_key((1, 2, 0)) > grevlex_key((2, 0, 1))
+
+
+def test_leading_monomial_is_the_order_maximum():
+    rng = random.Random(55)
+    keys = {"lex": lex_key, "grevlex": grevlex_key}
+    for ctx in (CTX3, CTXP, RingContext.geometric(3, order="lex")):
+        for _ in range(60):
+            f = random_polynomial(rng, ctx, max_degree=4, max_terms=8, allow_zero=False)
+            for order, key in keys.items():
+                assert f.leading_monomial(order) == max(f.monomials(), key=key)
+            assert f.leading_monomial() == max(f.monomials(), key=keys[ctx.order])
+    with pytest.raises(RingError):
+        Polynomial.zero(CTX3).leading_monomial()
+    with pytest.raises(RingError):
+        var(CTX3, "x1").leading_monomial("deglex")
 
 
 def test_sorted_terms_deterministic():
