@@ -80,8 +80,17 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     ``p f`` is ``p_top f_d``, since the coefficients form an integral
     domain; so ``f_d`` divides ``c |grad f_d|^6``.  If both ``G`` and ``E``
     are divisible by ``f``, then so is ``G - E``, and the same argument
-    applies.  Random dense cubics fail here, on a dividend of one degree
-    alone.
+    applies.
+
+    The cube is not needed: ``f_d`` divides ``|grad f_d|^6`` exactly when
+    it divides ``|grad f_d|^2``.  By unique factorisation write
+    ``f_d = p^m h`` with ``p`` prime and not dividing ``h``.  Then
+    ``|grad f_d|^2 = p^(2m-2) |m h grad p + p grad h|^2``, so ``p^m``
+    divides it whenever ``m >= 2``; a prime factor with ``m = 1`` divides
+    a cube only if it divides the base.  This holds also when ``p``
+    involves parameters alone, since then ``grad p = 0``.  So the test
+    divides ``|grad f_d|^2``, of degree ``2(d-1)``, by ``f_d``; random
+    dense cubics fail here.
 
     Otherwise ``f`` divides ``c G - E`` exactly when the reduced residues
     of ``G`` and ``E`` modulo ``f`` are proportional with the right
@@ -96,7 +105,7 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     if n < 2:
         raise RingError("defect needs at least two geometric variables")
     top = f.homogeneous_part(int(deg))
-    if not divide(grad_norm_sq(top) ** 3, top).remainder.is_zero:
+    if not divide(grad_norm_sq(top), top).remainder.is_zero:
         return None
     g6 = grad_norm_sq(f) ** 3
     d1 = delta1(f)

@@ -20,9 +20,9 @@ equal polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ring import Polynomial, RingContext
 
@@ -38,8 +38,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "name" | "op" | "end"
     text: str
     line: int
@@ -190,29 +189,26 @@ def parse_polynomial(src: str, ctx: RingContext) -> Polynomial:
     return value
 
 
-def _term_text(ctx: RingContext, mono: tuple[int, ...], coeff: Fraction) -> str:
-    # coeff is positive here; the caller renders the sign.
-    factors = []
-    if coeff != 1 or not any(mono):
-        factors.append(str(coeff))
-    for name, e in zip(ctx.variables, mono):
-        if e == 1:
-            factors.append(name)
-        elif e:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
-
-
 def to_text(f: Polynomial) -> str:
     """Canonical text: leading term first, signs folded into separators."""
-    terms = f.sorted_terms()
-    if not terms:
-        return "0"
+    ctx, terms, den = f.ctx, f._terms, f._den
+    key, _ = ctx._heap_key(ctx.order)
     parts = []
-    for i, (mono, coeff) in enumerate(terms):
-        body = _term_text(f.ctx, mono, abs(coeff))
-        if i == 0:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
+    for m in sorted(terms, key=key):
+        c = terms[m]
+        parts.append(" - " if c < 0 else " + ")
+        c = abs(c)
+        factors = []
+        if c != den or not m:
+            g = math.gcd(c, den)
+            factors.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        for name, e in zip(ctx.variables, ctx._unpack(m)):
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

@@ -30,7 +30,9 @@ Internal layout (known only to this module):
 
 The public API speaks exponent tuples and ``Fraction``; the private
 ``RingContext`` helpers (``_pack``, ``_unpack``, ``_heap_key``,
-``_check_packed``, ``_borrow``) are what :mod:`cmccheck.divide` uses.
+``_check_packed``, ``_borrow``) are what :mod:`cmccheck.divide` uses, and
+:func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
+``_den`` in ``_heap_key`` order.
 """
 
 from __future__ import annotations
@@ -186,14 +188,6 @@ class RingContext:
 
     def is_parameter(self, name: str) -> bool:
         return self.index(name) >= self.geometric_count
-
-    def monomial_key(self, order: Optional[str] = None):
-        """Ascending sort key function for the context (or given) order."""
-        tag = self.order if order is None else order
-        try:
-            return _ORDER_KEYS[tag]
-        except KeyError:
-            raise RingError(f"unknown monomial order: {tag!r}") from None
 
     def geometric_degree(self, mono: tuple[int, ...]) -> int:
         return sum(mono[: self.geometric_count])
@@ -397,8 +391,10 @@ class Polynomial:
         self, order: Optional[str] = None
     ) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms sorted descending (leading term first)."""
-        key = self.ctx.monomial_key(order)
-        return sorted(self.terms(), key=lambda kv: key(kv[0]), reverse=True)
+        key, _ = self.ctx._heap_key(self.ctx.order if order is None else order)
+        unpack, frac = self.ctx._unpack, self._fraction
+        terms = self._terms
+        return [(unpack(m), frac(terms[m])) for m in sorted(terms, key=key)]
 
     def leading_monomial(self, order: Optional[str] = None) -> tuple[int, ...]:
         if not self._terms:
@@ -534,6 +530,12 @@ class Polynomial:
             ta, tb = tb, ta
         # A monomial product is one int addition and a coefficient product
         # one int multiplication; the denominators multiply once.
+        if len(ta) == 1:
+            # A one-term operand shifts the other: distinct sums, no zeros.
+            [(m1, n1)] = ta.items()
+            shifted = {m1 + m: n1 * c for m, c in tb.items()}
+            self.ctx._check_all_packed(shifted)
+            return Polynomial._from_ints(self.ctx, shifted, self._den * other._den)
         acc: dict[int, int] = {}
         get = acc.get
         inner = list(tb.items())
@@ -560,6 +562,15 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise RingError("polynomial powers take non-negative integer exponents")
+        if len(self._terms) == 1:
+            # A one-term base scales its exponents, checked before packing
+            # so that no field can carry.
+            ctx = self.ctx
+            [(m, c)] = self._terms.items()
+            mono = ctx.check_monomial([e * exponent for e in ctx._unpack(m)])
+            return Polynomial._from_ints(
+                ctx, {ctx._pack(mono): c**exponent}, self._den**exponent
+            )
         result = Polynomial.one(self.ctx)
         base = self
         e = exponent

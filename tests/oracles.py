@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from cmccheck.calculus import delta1, p_laplacian, partial
 from cmccheck.divide import divide, divides
-from cmccheck.ring import Polynomial, RingContext
+from cmccheck.ring import Polynomial, RingContext, grevlex_key, lex_key
 
 # ----------------------------------------------------------------------
 # raw-dict reference arithmetic
@@ -57,6 +57,30 @@ def raw_pow(a: dict, k: int, nvars: int) -> dict:
     for _ in range(k):
         out = raw_mul(out, a)
     return out
+
+
+def raw_to_text(f: Polynomial) -> str:
+    """Canonical text rendered from ``terms()``, sorted on tuple keys."""
+    key = {"grevlex": grevlex_key, "lex": lex_key}[f.ctx.order]
+    terms = sorted(f.terms(), key=lambda kv: key(kv[0]), reverse=True)
+    if not terms:
+        return "0"
+    parts = []
+    for i, (mono, coeff) in enumerate(terms):
+        factors = []
+        if abs(coeff) != 1 or not any(mono):
+            factors.append(str(abs(coeff)))
+        for name, e in zip(f.ctx.variables, mono):
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        if i == 0:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
 
 
 # ----------------------------------------------------------------------

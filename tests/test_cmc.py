@@ -221,7 +221,7 @@ def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
     assert solve_hsq(f) is None
     [(dividend, divisor)] = calls
     assert not dividend.is_zero
-    assert dividend.homogeneous_parts().keys() == {12}
+    assert dividend.homogeneous_parts().keys() == {4}
     assert divisor == f.homogeneous_part(3)
     # Inputs whose top form passes still run both residues modulo f.
     for f, expected in (
@@ -231,6 +231,33 @@ def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
         calls.clear()
         assert solve_hsq(f) == expected
         assert [d for _, d in calls] == [f.homogeneous_part(f.total_degree()), f, f]
+
+
+def test_top_form_test_agrees_with_its_cube():
+    """``f_d | G`` iff ``f_d | G^3`` for ``G = |grad f_d|^2``: on prime
+    powers times a cofactor, cubed linear forms, a squared quadric, and
+    forms times a power of a parameter (whose gradient is zero)."""
+    rng = random.Random(47)
+    plain = RingContext.geometric(3)
+    para = RingContext.with_parameters(["x1", "x2", "x3"], ["a"])
+    x1, x2 = (Polynomial.variable(plain, name) for name in ("x1", "x2"))
+    a = Polynomial.variable(para, "a")
+    forms = [(x1**2 + x2**2) ** 2]
+    for ctx in (plain, para):
+        for _ in range(40):
+            p = random_homogeneous(rng, ctx, rng.randint(1, 2), max_terms=3)
+            q = random_homogeneous(rng, ctx, rng.randint(0, 1), max_terms=3)
+            forms.append(p ** rng.randint(1, 3) * q)
+        for _ in range(5):
+            forms.append(random_homogeneous(rng, ctx, 1) ** 3)
+    forms += [f * a ** rng.randint(1, 3) for f in forms if f.ctx == para]
+    verdicts = []
+    for f in forms:
+        g = grad_norm_sq(f)
+        once = divide(g, f).remainder.is_zero
+        assert once == divide(g**3, f).remainder.is_zero, f
+        verdicts.append(once)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_defect_scaling_law():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmccheck.parse import ParseError, parse_polynomial, to_text
 from cmccheck.ring import Polynomial, RingContext
-from oracles import random_polynomial
+from oracles import random_polynomial, raw_to_text
 
 CTX = RingContext.geometric(3)
 CTXP = RingContext.with_parameters(["x1", "x2"], ["Ht", "k0", "a_11", "r_1", "s_1"])
@@ -108,6 +108,25 @@ def test_round_trip_seeded():
     for _ in range(200):
         f = random_polynomial(rng, CTXP, max_degree=5, max_terms=7)
         assert parse_polynomial(to_text(f), CTXP) == f
+
+
+def test_to_text_matches_the_reference_renderer():
+    """Byte for byte against the tuple-key renderer: both orders,
+    parameters, negative, unit and rational coefficients, constants, zero."""
+    rng = random.Random(71)
+    contexts = (
+        CTX,
+        CTXP,
+        RingContext.geometric(3, order="lex"),
+        RingContext.with_parameters(["x1", "x2", "x3"], ["a"], order="grevlex"),
+    )
+    for ctx in contexts:
+        zero = Polynomial.zero(ctx)
+        assert to_text(zero) == raw_to_text(zero) == "0"
+        for _ in range(100):
+            f = random_polynomial(rng, ctx, max_degree=5, max_terms=8)
+            for g in (f, -f, f * 6, f + 1, f - Fraction(7, 4), f * 0 - 1):
+                assert to_text(g) == raw_to_text(g)
 
 
 @settings(max_examples=120, deadline=None)

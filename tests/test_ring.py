@@ -18,8 +18,13 @@ from oracles import (
     check_euler,
     check_reference_arithmetic,
     check_ring_axioms,
+    random_coeff,
+    random_monomial,
     random_point,
     random_polynomial,
+    raw,
+    raw_mul,
+    raw_pow,
 )
 
 CTX3 = RingContext.geometric(3)
@@ -338,6 +343,40 @@ def test_exponent_guard_never_carries_into_the_next_variable():
         assert product == at_guard
         assert raw_terms(product) == {(0, guard, 0): Fraction(1)}
         assert product.degree_in("x1") == 0
+
+
+def test_one_term_products_and_powers_match_the_oracle():
+    """A one-term operand shifts the other in ``__mul__``, and a one-term
+    base scales its exponents in ``__pow__``; both against the raw oracle."""
+    rng = random.Random(61)
+    for ctx in (CTX3, CTXP, RingContext.geometric(3, order="lex")):
+        for _ in range(60):
+            coeff = rng.choice([1, -1, rng.randint(2, 9), random_coeff(rng)])
+            term = Polynomial.monomial(ctx, random_monomial(rng, ctx, 3), coeff)
+            ints = Polynomial(ctx, [
+                (random_monomial(rng, ctx, 4), rng.randint(-9, 9)) for _ in range(6)
+            ])
+            for f in (random_polynomial(rng, ctx, max_terms=6), ints, term):
+                assert raw(term * f) == raw_mul(raw(term), raw(f))
+                assert raw(f * term) == raw_mul(raw(f), raw(term))
+            for k in range(6):
+                assert raw(term**k) == raw_pow(raw(term), k, ctx.nvars)
+
+
+def test_one_term_powers_past_the_guard_raise():
+    """``(c*x^a)^e`` past the guard raises, naming the exponent, and never
+    spills into the field of the next variable."""
+    for guard in (10, 2**16 - 1):
+        ctx = RingContext(("x1", "x2", "x3"), 3, exponent_guard=guard)
+        half = guard // 2 + 1
+        for coeff in (1, -3, Fraction(2, 5)):
+            with pytest.raises(ExponentLimitError, match=f"exponent {guard + 1} "):
+                Polynomial.monomial(ctx, (0, 1, 0), coeff) ** (guard + 1)
+            with pytest.raises(ExponentLimitError, match=f"exponent {2 * half} "):
+                Polynomial.monomial(ctx, (1, 2, 1), coeff) ** half
+            at_guard = Polynomial.monomial(ctx, (0, 1, 0), coeff) ** guard
+            assert raw(at_guard) == {(0, guard, 0): Fraction(coeff) ** guard}
+            assert at_guard.degree_in("x1") == 0
 
 
 def test_equal_rationals_give_equal_polynomials():
