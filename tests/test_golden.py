@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from cmccheck.cli import main
+from cmccheck.parse import to_text
+from cmccheck.replay import replay
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text())
@@ -44,3 +46,40 @@ def test_golden_usage_output(entry, capsys, monkeypatch):
     assert exc.value.code == entry["exit_code"]
     assert captured.out == entry["stdout"]
     assert captured.err == entry["stderr"]
+
+
+# ``golden_replay.json`` holds the replay's step records, failing ones
+# included, for inputs the CLI cannot reach: n = 3 without a mutation and
+# under each mutation, and n = 4 under ``defect-sign``.
+REPLAY = json.loads(Path(__file__).with_name("golden_replay.json").read_text())
+
+
+def _text(p):
+    return None if p is None else to_text(p)
+
+
+def replay_record(n, mutation):
+    report = replay(n, mutation)
+    return {
+        "n": n,
+        "mutation": mutation,
+        "steps": [
+            {
+                "name": s.name,
+                "status": s.status,
+                "residual": _text(s.residual),
+                "witness": _text(s.witness),
+                "detail": s.detail,
+            }
+            for s in report.steps
+        ],
+        "overall": report.overall,
+        "delta1_expansion_residual": _text(report.delta1_expansion_residual),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry", REPLAY, ids=[f"n={e['n']}-{e['mutation']}" for e in REPLAY]
+)
+def test_golden_replay_records(entry):
+    assert replay_record(entry["n"], entry["mutation"]) == entry
