@@ -28,10 +28,11 @@ from .ring import Polynomial, RingContext, RingError
 SCHEMA_VERSION = "1"
 TERM_CAP = 200
 # Upper bounds on dimensions, checked before any ring context is built.
-# ``--vars`` and ``surface --n`` only size the ring; a sweep sample costs
-# about as many terms as there are degree-12 monomials in n variables
-# (n = 8: 2 s and 41 MB, n = 9: 7 s and 89 MB); ``replay --n 10`` takes
-# about 9 s and 340 MB, and n = 12 takes 52 s and 1.4 GB.
+# ``--vars`` and ``surface --n`` only size the ring.  The sweep cap bounds
+# the rare sample that passes the top-form test and builds its degree-12
+# residues (a cubed dense linear form plus a dense quadratic takes 7 s and
+# 59 MB at n = 8, 23 s and 110 MB at n = 9, on a 2-core Intel Xeon);
+# ``replay --n 10`` takes 5 to 7 s and 300 MB there.
 MAX_VARS = 64
 MAX_SWEEP_N = 8
 MAX_REPLAY_N = 10

@@ -29,7 +29,8 @@ class GenericCubicSpec:
     ``x`` is x1 and ``y`` is (x2..xn); ``A`` is the full symmetric grid of
     matrix entries, ``r`` and ``s`` the parameter vectors, ``k0``, ``k1``
     the scalars and ``ht`` the folded curvature parameter Ht, each the
-    variable polynomial of its name.
+    variable polynomial of its name.  ``Ay``, ``yAy`` (y'Ay) and ``trace``
+    (trace(A)) are built once from those atoms.
     """
 
     n: int
@@ -47,6 +48,9 @@ class GenericCubicSpec:
     k0: Polynomial
     k1: Polynomial
     ht: Polynomial
+    Ay: tuple[Polynomial, ...]
+    yAy: Polynomial
+    trace: Polynomial
 
 
 def matrix_entry_name(i: int, j: int) -> str:
@@ -82,6 +86,9 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     def atoms(names):
         return tuple(Polynomial.variable(ctx, name) for name in names)
 
+    y = atoms(f"x{i}" for i in range(2, n + 1))
+    a = tuple(atoms(row) for row in matrix_names)
+    ay = tuple(dot(row, y) for row in a)
     spec = GenericCubicSpec(
         n=n,
         matrix_names=matrix_names,
@@ -91,21 +98,20 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
         k1_name="k1",
         curvature_name="Ht",
         x=Polynomial.variable(ctx, "x1"),
-        y=atoms(f"x{i}" for i in range(2, n + 1)),
-        A=tuple(atoms(row) for row in matrix_names),
+        y=y,
+        A=a,
         r=atoms(r_names),
         s=atoms(s_names),
         k0=Polynomial.variable(ctx, "k0"),
         k1=Polynomial.variable(ctx, "k1"),
         ht=Polynomial.variable(ctx, "Ht"),
+        Ay=ay,
+        yAy=dot(y, ay),
+        trace=sum((a[i][i] for i in range(m)), Polynomial.zero(ctx)),
     )
-    x, y, a = spec.x, spec.y, spec.A
-    quad = Polynomial.zero(ctx)
-    for i in range(m):
-        for j in range(m):
-            quad = quad + a[i][j] * y[i] * y[j]
+    x = spec.x
     r_dot_y, s_dot_y = dot(spec.r, y), dot(spec.s, y)
-    f = x**3 + quad + spec.k0 * x**2 + r_dot_y * x + spec.k1 * x + s_dot_y
+    f = x**3 + spec.yAy + spec.k0 * x**2 + r_dot_y * x + spec.k1 * x + s_dot_y
     return f, spec
 
 

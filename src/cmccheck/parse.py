@@ -7,6 +7,7 @@ Grammar (whitespace insensitive, no implicit multiplication):
     factor := atom { "^" INT }
     atom   := IDENT | NUMBER | "(" expr ")"
     NUMBER := INT [ "/" INT ]
+    INT    := decimal digits of any script (``str.isdecimal``), as ``int`` reads them
 
 A single sign is allowed only at the start of an expression (so also right
 after an opening parenthesis); ``x^-2`` and ``3*-7`` are syntax errors, as
@@ -60,9 +61,9 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", src[i:j], line, col))
             col += j - i

@@ -97,8 +97,7 @@ def _mat_vec(spec: GenericCubicSpec, v: Sequence[Polynomial]) -> list[Polynomial
 
 
 def _expected_parts(spec: GenericCubicSpec) -> list[Polynomial]:
-    x, k0, k1, r, s = spec.x, spec.k0, spec.k1, spec.r, spec.s
-    Ay = _mat_vec(spec, spec.y)
+    x, k0, k1, r, s, Ay = spec.x, spec.k0, spec.k1, spec.r, spec.s, spec.Ay
     r_dot_y = dot(r, spec.y)
     h0 = k1 * k1 + dot(s, s)
     h1 = (
@@ -123,15 +122,14 @@ def _expected_delta1(spec: GenericCubicSpec, gradsq: Polynomial) -> Polynomial:
     """The printed closed-form expansion of delta1 on the generic cubic."""
     x, k0, k1, r, s, y = spec.x, spec.k0, spec.k1, spec.r, spec.s, spec.y
     r_dot_y = dot(r, y)
-    Ay = _mat_vec(spec, y)
+    Ay = spec.Ay
     A2y = _mat_vec(spec, Ay)
     A3y = _mat_vec(spec, A2y)
     Ar = _mat_vec(spec, r)
     As = _mat_vec(spec, s)
-    trace = SymMatrix(spec.A).trace()
     three_x = x * 3
     return (
-        gradsq * trace * 4
+        gradsq * spec.trace * 4
         + (k0 + three_x) * (dot(s, Ay) + dot(Ay, Ay)) * 16
         - dot(r, Ay) * (k1 + r_dot_y - x**2 * 3) * 8
         - x * dot(s, Ar) * 8
@@ -167,6 +165,14 @@ def _exact_quotient(
     return res.quotient, res.remainder
 
 
+def _step(name: str, residual: Polynomial, detail: str,
+          witness: Optional[Polynomial] = None) -> ReplayStep:
+    """The record of a step that passes exactly when its residual is zero."""
+    if residual.is_zero:
+        return ReplayStep(name, "pass", witness=witness, detail=detail)
+    return ReplayStep(name, "fail", residual, witness, detail)
+
+
 def _product_above(
     a: dict[int, Polynomial], b: dict[int, Polynomial], above: int
 ) -> dict[int, Polynomial]:
@@ -189,17 +195,13 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         raise RingError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
     f, spec = generic_cubic(n)
     ctx = f.ctx
-    x, ht = spec.x, spec.ht
-    a_matrix = SymMatrix(spec.A)
-    trace = a_matrix.trace()
+    x, ht, trace = spec.x, spec.ht, spec.trace
     if mutation == "cubic-part":
         f = f - x**3 + x**2 * spec.y[0]
 
     report = ReplayReport(n=n, mutation=mutation)
+    steps = report.steps
     current = "setup"
-
-    def run(step: ReplayStep) -> None:
-        report.steps.append(step)
 
     try:
         current = "gradsq-parts"
@@ -212,45 +214,34 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             # The sum matching forces every homogeneous part to match, the
             # expected parts being homogeneous of their labeled degrees;
             # check anyway so a non-homogeneous builder cannot slip through.
-            for k in range(5):
-                diff = gparts.get(k, zero) - parts[k]
-                if not diff.is_zero:
-                    residual = diff
-                    break
+            diffs = (gparts.get(k, zero) - parts[k] for k in range(5))
+            residual = next(filter(None, diffs), zero)
         if residual.is_zero:
-            run(ReplayStep(current, "pass", detail="degrees 0..4 match exactly"))
+            steps.append(
+                ReplayStep(current, "pass", detail="degrees 0..4 match exactly")
+            )
         else:
-            run(ReplayStep(current, "fail", residual=residual))
+            steps.append(ReplayStep(current, "fail", residual=residual))
 
         current = "delta1-congruence"
         d1 = delta1(f)
         residual = (d1 - trace * gradsq * 4).high_part(3)
-        run(
-            ReplayStep(current, "pass" if residual.is_zero else "fail",
-                       residual=None if residual.is_zero else residual,
-                       detail="delta1 = 4 trace(A) |grad f|^2 above degree 3")
-        )
+        steps.append(_step(current, residual,
+                           "delta1 = 4 trace(A) |grad f|^2 above degree 3"))
 
         # Steps 3 to 5 read only degrees above 7 (see the module docstring);
         # |grad f|^4 keeps the parts whose product with |grad f|^2 gets there.
         current = "gradsq-square"
         gsq4 = _product_above(gparts, gparts, 7 - max(gparts, default=0))
         residual = sum((p for k, p in gsq4.items() if k > 7), zero) - x**8 * 81
-        run(
-            ReplayStep(current, "pass" if residual.is_zero else "fail",
-                       residual=None if residual.is_zero else residual,
-                       detail="|grad f|^4 = 81 x^8 above degree 7")
-        )
+        steps.append(_step(current, residual, "|grad f|^4 = 81 x^8 above degree 7"))
 
         current = "delta1-square"
         d1parts = d1.homogeneous_parts()
         d1sq = _product_above(d1parts, d1parts, 7)
         residual = sum(d1sq.values(), zero) - trace**2 * x**8 * 1296
-        run(
-            ReplayStep(current, "pass" if residual.is_zero else "fail",
-                       residual=None if residual.is_zero else residual,
-                       detail="(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7")
-        )
+        steps.append(_step(current, residual,
+                           "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7"))
 
         current = "defect-valuations"
         gsq6 = _product_above(gsq4, gparts, 7)
@@ -279,71 +270,59 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             detail += f"; x-axis identity fails at deg {axis_bad[0]}"
         else:
             detail += "; x-axis parts match the closed form for deg 8..12"
-        if bad:
-            run(ReplayStep(current, "fail", residual=dpart[bad[0]], detail=detail))
-        elif axis_bad:
-            run(ReplayStep(current, "fail", residual=axis_diff[axis_bad[0]],
-                           detail=detail))
-        else:
-            run(ReplayStep(current, "pass", detail=detail))
+        # A part below its valuation bound is nonzero, so it is the residual.
+        residual = (
+            dpart[bad[0]] if bad else axis_diff[axis_bad[0]] if axis_bad else zero
+        )
+        steps.append(_step(current, residual, detail))
 
         current = "cascade-division"
         fparts = f.homogeneous_parts()
         f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
-        cascade_residual = None
-        p9, rem = _exact_quotient(dpart[12], f3)
-        if not rem.is_zero:
-            cascade_residual = rem
-        expected_p9 = ht * ht * x**9 * 729
-        if cascade_residual is None and p9 != expected_p9:
-            cascade_residual = p9 - expected_p9
-        p8, rem = _exact_quotient(dpart[11] - p9 * f2, f3)
-        if cascade_residual is None and not rem.is_zero:
-            cascade_residual = rem
-        p7, rem = _exact_quotient(dpart[10] - p8 * f2 - p9 * f1, f3)
-        if cascade_residual is None and not rem.is_zero:
-            cascade_residual = rem
-        p6, rem = _exact_quotient(dpart[9] - p7 * f2 - p8 * f1, f3)
-        if cascade_residual is None and not rem.is_zero:
-            cascade_residual = rem
-        if cascade_residual is None:
-            run(
-                ReplayStep(current, "pass", witness=p9,
+        # dpart[k] = p_{k-3} f3 + p_{k-2} f2 + p_{k-1} f1, so the parts p9..p6
+        # come top down, each by an exact division by f3.  The first nonzero
+        # miss is the residual: a remainder, or p9 differing from its value.
+        p: dict[int, Polynomial] = {}
+        cascade_residual = zero
+        for k in range(12, 8, -1):
+            dividend = dpart[k]
+            for j, fj in ((2, f2), (1, f1)):
+                if k - j in p:
+                    dividend = dividend - p[k - j] * fj
+            p[k - 3], rem = _exact_quotient(dividend, f3)
+            if k == 12 and rem.is_zero:
+                rem = p[9] - ht * ht * x**9 * 729
+            if cascade_residual.is_zero:
+                cascade_residual = rem
+        if cascade_residual.is_zero:
+            steps.append(
+                ReplayStep(current, "pass", witness=p[9],
                            detail="p9..p6 extracted exactly; p9 = 729 Ht^2 x^9")
             )
         else:
-            run(ReplayStep(current, "fail", residual=cascade_residual, witness=p9))
+            steps.append(ReplayStep(current, "fail", residual=cascade_residual,
+                                    witness=p[9]))
 
         current = "vanish-at-x0"
         at0 = {"x1": Fraction(0)}
-        p7_at0 = p7.substitute(at0)
-        d8_at0 = dpart[8].substitute(at0)
-        residual = p7_at0 if not p7_at0.is_zero else d8_at0
-        run(
-            ReplayStep(current, "pass" if residual.is_zero else "fail",
-                       residual=None if residual.is_zero else residual,
-                       detail="p7(0, y) = 0 and defect degree-8 part vanishes at x = 0")
-        )
+        residual = p[7].substitute(at0) or dpart[8].substitute(at0)
+        steps.append(_step(current, residual,
+                           "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0"))
 
         current = "obstruction"
-        lhs = p6.substitute(at0) * f2.substitute(at0)
-        quad = dot(spec.y, _mat_vec(spec, spec.y))  # y'Ay
-        rhs = -(ht * ht) * quad**4 * 729
-        residual = lhs - rhs
-        run(
-            ReplayStep(current, "pass" if residual.is_zero else "fail",
-                       residual=None if residual.is_zero else residual,
-                       witness=rhs,
-                       detail="p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4")
-        )
+        f2_at0 = f2.substitute(at0)
+        rhs = -(ht * ht) * spec.yAy**4 * 729
+        residual = p[6].substitute(at0) * f2_at0 - rhs
+        steps.append(_step(current, residual,
+                           "p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4", witness=rhs))
 
         current = "matrix-extraction"
-        f2_at0 = f2.substitute(at0)
+        a_matrix = SymMatrix(spec.A)
         y_names = [f"x{i}" for i in range(2, n + 1)]
         extracted = quad_form_to_matrix(f2_at0, y_names)
         rebuilt = quad_form_from_matrix(extracted, y_names, ctx)
         if rebuilt == f2_at0 and extracted == a_matrix:
-            run(
+            steps.append(
                 ReplayStep(current, "pass",
                            detail="y'Ay recovers every entry of A, so A = 0 is forced")
             )
@@ -352,7 +331,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             if residual.is_zero:
                 rebuilt = quad_form_from_matrix(a_matrix, y_names, ctx)
                 residual = f2_at0 - rebuilt
-            run(ReplayStep(current, "fail", residual=residual))
+            steps.append(ReplayStep(current, "fail", residual=residual))
 
         # The printed closed-form expansion is transcription fidelity only;
         # a mismatch is recorded out of band and never fails the chain,
@@ -360,11 +339,10 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         current = "delta1-expansion"
         expansion_residual = d1 - _expected_delta1(spec, gradsq)
         report.delta1_expansion_matches = expansion_residual.is_zero
-        report.delta1_expansion_residual = (
-            None if expansion_residual.is_zero else expansion_residual
-        )
+        report.delta1_expansion_residual = expansion_residual or None
     except ExponentLimitError as exc:
         raise ExponentLimitError(f"step {current}: {exc}") from exc
 
-    report.overall = "pass" if all(s.passed for s in report.steps) else "fail"
+    if all(s.passed for s in steps):
+        report.overall = "pass"
     return report

@@ -189,10 +189,12 @@ class RingContext:
     def is_parameter(self, name: str) -> bool:
         return self.index(name) >= self.geometric_count
 
-    def geometric_degree(self, mono: tuple[int, ...]) -> int:
-        return sum(mono[: self.geometric_count])
+    # ------------------------------------------------------------------
+    # packed monomials (see the module docstring)
 
-    def check_monomial(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+    def _pack(self, mono: Sequence[int]) -> int:
+        """Packed form of an exponent tuple, checked for its length,
+        non-negative int exponents and the guard."""
         mono = tuple(mono)
         if len(mono) != self.nvars:
             raise RingError(
@@ -205,13 +207,6 @@ class RingContext:
                 raise ExponentLimitError(
                     f"exponent {e} exceeds guard {self.exponent_guard}"
                 )
-        return mono
-
-    # ------------------------------------------------------------------
-    # packed monomials (see the module docstring)
-
-    def _pack(self, mono: Sequence[int]) -> int:
-        """Packed form of a checked exponent tuple."""
         return sum(e << s for e, s in zip(mono, self._shifts))
 
     def _unpack(self, m: int) -> tuple[int, ...]:
@@ -225,7 +220,7 @@ class RingContext:
         """Raise ExponentLimitError if a field of ``m`` (at most twice the
         guard, as in a sum of two in-guard monomials) exceeds the guard."""
         if (m + self._lift) & self._borrow:
-            self.check_monomial(self._unpack(m))
+            self._pack(self._unpack(m))
 
     def _check_all_packed(self, monos: Collection[int]) -> None:
         # Each ``m + lift`` is carry-free, so OR-ing them keeps every
@@ -293,7 +288,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
         for mono, coeff in items:
-            m = ctx._pack(ctx.check_monomial(mono))
+            m = ctx._pack(mono)
             acc[m] = acc.get(m, 0) + as_fraction(coeff)
         den = math.lcm(*(c.denominator for c in acc.values()))
         self.ctx = ctx
@@ -348,7 +343,7 @@ class Polynomial:
     def monomial(
         cls, ctx: RingContext, mono: Sequence[int], coeff: Rational = 1
     ) -> "Polynomial":
-        m = ctx._pack(ctx.check_monomial(tuple(mono)))
+        m = ctx._pack(mono)
         coeff = as_fraction(coeff)
         if not coeff:
             return cls.zero(ctx)
@@ -372,7 +367,7 @@ class Polynomial:
 
     def coefficient(self, mono: Sequence[int]) -> Fraction:
         try:
-            m = self.ctx._pack(self.ctx.check_monomial(mono))
+            m = self.ctx._pack(mono)
         except RingError:
             return Fraction(0)
         return self._fraction(self._terms.get(m, 0))
@@ -563,14 +558,12 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise RingError("polynomial powers take non-negative integer exponents")
         if len(self._terms) == 1:
-            # A one-term base scales its exponents, checked before packing
-            # so that no field can carry.
+            # A one-term base scales its exponents, which ``_pack`` checks
+            # before packing so that no field can carry.
             ctx = self.ctx
             [(m, c)] = self._terms.items()
-            mono = ctx.check_monomial([e * exponent for e in ctx._unpack(m)])
-            return Polynomial._from_ints(
-                ctx, {ctx._pack(mono): c**exponent}, self._den**exponent
-            )
+            m = ctx._pack([e * exponent for e in ctx._unpack(m)])
+            return Polynomial._from_ints(ctx, {m: c**exponent}, self._den**exponent)
         result = Polynomial.one(self.ctx)
         base = self
         e = exponent
@@ -695,7 +688,7 @@ class Polynomial:
             m = blank[:]
             for pos, e in zip(positions, mono):
                 m[pos] = e
-            terms[self.ctx._pack(self.ctx.check_monomial(m))] = coeff
+            terms[self.ctx._pack(m)] = coeff
         return Polynomial._from_ints(self.ctx, terms, value._den)
 
     def evaluate(self, point: Mapping[str, Rational]) -> Fraction:

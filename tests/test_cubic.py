@@ -72,6 +72,22 @@ def test_generic_cubic_normalization_properties():
         assert len(ctx.parameters) == (n - 1) * n // 2 + 2 * (n - 1) + 3
 
 
+def test_generic_cubic_spec_carries_its_quadratic_pieces():
+    # Reference: the entry-by-entry sums over the full symmetric grid.
+    for n in (3, 4, 5):
+        f, spec = generic_cubic(n)
+        zero, a, y = Polynomial.zero(f.ctx), spec.A, spec.y
+        rows = range(n - 1)
+        assert spec.Ay == tuple(
+            sum((a[i][j] * y[j] for j in rows), zero) for i in rows
+        )
+        assert spec.yAy == sum(
+            (a[i][j] * y[i] * y[j] for i in rows for j in rows), zero
+        )
+        assert spec.trace == SymMatrix(a).trace()
+        assert f.homogeneous_part(2).substitute({"x1": Fraction(0)}) == spec.yAy
+
+
 def test_generic_cubic_rejects_small_dimension():
     with pytest.raises(RingError):
         generic_cubic(2)

@@ -63,11 +63,17 @@ def test_whitespace_and_newlines():
         "x1 +",
         "",
         "x1 @ x2",
+        "x1^²",  # superscript digits are not decimal digits
+        "²*x1",
     ],
 )
 def test_syntax_errors(src):
     with pytest.raises(ParseError):
         parse(src)
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    assert parse("٣*x1^٢") == parse("3*x1^2")
 
 
 def test_undeclared_variable_error_position():
