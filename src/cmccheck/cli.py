@@ -58,18 +58,11 @@ def _context(nvars: int) -> RingContext:
     return RingContext.geometric(_at_most(nvars, MAX_VARS, "--vars"))
 
 
-def _clip(
-    f: Optional[Polynomial], full: bool, text: Optional[str] = None
-) -> Optional[str]:
-    """Display text of ``f``, or a placeholder past the term cap.
-
-    ``text`` is ``f`` already printed, when the caller has it.
-    """
-    if f is None:
-        return None
+def _clip(f: Polynomial, full: bool, text: str) -> str:
+    """``text``, the printed ``f``, or a placeholder past the term cap."""
     if not full and len(f) > TERM_CAP:
         return f"<{len(f)} terms; rerun with --full to print>"
-    return to_text(f) if text is None else text
+    return text
 
 
 def _text(f: Optional[Polynomial]) -> Optional[str]:

@@ -94,9 +94,9 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
 
     Otherwise ``f`` divides ``c G - E`` exactly when the reduced residues
     of ``G`` and ``E`` modulo ``f`` are proportional with the right
-    positive ratio.  Remainders modulo a single divisor are unique for a
-    fixed monomial order, so proportionality of remainders decides the
-    question outright.
+    positive ratio.  Remainders modulo a single divisor are unique under
+    division's fixed lex order, so proportionality of remainders decides
+    the question outright.
     """
     deg = f.total_degree()
     if isinstance(deg, float) or deg < 1:

@@ -76,7 +76,6 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     ctx = RingContext.with_parameters(
         [f"x{i}" for i in range(1, n + 1)],
         a_names + r_names + s_names + ["k0", "k1", "Ht"],
-        order="lex",
     )
     matrix_names = tuple(
         tuple(matrix_entry_name(i, j) for j in range(1, m + 1))

@@ -1,22 +1,25 @@
-"""Single-divisor polynomial division with verified certificates.
+"""Single-divisor polynomial division under lex, with verified certificates.
 
-For one divisor the remainder is unique once a monomial order is fixed:
-no term of the remainder is divisible by the divisor's leading term, and
-``dividend = quotient * divisor + remainder`` exactly.  Divisibility
-itself does not depend on the order, so a zero remainder under any order
-is a proof, and :func:`divides` re-multiplies the quotient to certify it.
+Division runs under one order, lex with the first declared variable
+heaviest, whatever order the ring context prints in.  For one divisor the
+remainder is then unique: no term of the remainder is divisible by the
+divisor's leading term, and ``dividend = quotient * divisor + remainder``
+exactly.  Divisibility itself does not depend on the order, so a zero
+remainder is a proof, and :func:`divides` re-multiplies the quotient to
+certify it.
 
 :func:`divide` takes leading terms from a heap of candidate monomials
 (Johnson 1974; Monagan & Pearce 2007, 2011) and reduces over the integer
 numerators that :class:`~cmccheck.ring.Polynomial` stores: a working
 coefficient is a numerator over a power of the divisor's integer leading
 coefficient, and the quotient and remainder are each put over one such
-power at the end.  Monomials are the ring's packed ints, so a quotient
-monomial is ``lead - lead_f`` and a new term ``qm + m``.  This module knows
-nothing of the packed layout beyond what the ring context hands it: the
-borrow mask (``lead - lead_f`` has a bit of it set exactly when ``lead`` is
-not divisible by ``lead_f``), the heap key for the chosen order (for lex,
-``-m``), and the exponent guard check.
+power at the end.  Monomials are the ring's packed ints, which compare
+in lex order: the divisor's leading monomial is ``max(f._terms)``, the
+min-heap holds ``-m`` so that it pops the largest monomial, a quotient
+monomial is ``lead - lead_f`` and a new term ``qm + m``.  Beyond that this
+module knows nothing of the packed layout but what the ring context hands
+it: the borrow mask (``lead - lead_f`` has a bit of it set exactly when
+``lead`` is not divisible by ``lead_f``) and the exponent guard check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .ring import Polynomial, RingError
+from .ring import ContextMismatchError, Polynomial, RingError
 
 
 class ZeroDivisorError(RingError):
@@ -36,7 +39,6 @@ class ZeroDivisorError(RingError):
 class DivisionResult:
     quotient: Polynomial
     remainder: Polynomial
-    order_used: str
 
 
 @dataclass(frozen=True)
@@ -46,25 +48,17 @@ class DivisibilityVerdict:
     remainder: Optional[Polynomial]
 
 
-def default_order(ctx) -> str:
-    # With a coordinate block present, eliminate the first coordinate
-    # fastest; otherwise fall back to grevlex.
-    return "lex" if ctx.geometric_count >= 1 else "grevlex"
-
-
-def divide(
-    g: Polynomial, f: Polynomial, order: Optional[str] = None
-) -> DivisionResult:
-    """Divide ``g`` by ``f``, returning quotient and reduced remainder."""
+def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
+    """Divide ``g`` by ``f`` under lex, returning quotient and reduced remainder."""
     if g.ctx != f.ctx:
-        raise RingError("dividend and divisor belong to different ring contexts")
+        raise ContextMismatchError(
+            "dividend and divisor belong to different ring contexts"
+        )
     if f.is_zero:
         raise ZeroDivisorError("division by the zero polynomial")
     ctx = g.ctx
-    tag = order or default_order(ctx)
-    key, unkey = ctx._heap_key(tag)
     borrow = ctx._borrow
-    lead_f = unkey(min(map(key, f._terms)))
+    lead_f = max(f._terms)
 
     # Divide G = dg*g by F = df*f (numerators only); then q = Q*df/dg and
     # r = R/dg.  A working term stands for ``work[m] / L**level[m]``, where
@@ -77,7 +71,7 @@ def divide(
     level = dict.fromkeys(work, 0)
     # Every monomial in ``work`` has exactly one heap entry; a term that
     # cancels stays in ``work`` with numerator 0 and is skipped when popped.
-    heap = list(map(key, work))
+    heap = [-m for m in work]
     heapify(heap)
     # Quotient and remainder numerators, each with its power of L.
     quotient: dict[int, int] = {}
@@ -85,7 +79,7 @@ def divide(
     remainder: dict[int, int] = {}
     rlevel: dict[int, int] = {}
     while heap:
-        lead = unkey(heappop(heap))
+        lead = -heappop(heap)
         a = work.pop(lead)
         k = level.pop(lead)
         if not a:
@@ -107,7 +101,7 @@ def divide(
             mm = qm + m
             j = level.get(mm)
             if j is None:
-                heappush(heap, key(mm))
+                heappush(heap, -mm)
                 work[mm] = -a * c
                 level[mm] = k
             elif j < k:
@@ -118,7 +112,6 @@ def divide(
     return DivisionResult(
         _over_common_power(ctx, quotient, qlevel, powers, dg),
         _over_common_power(ctx, remainder, rlevel, powers, dg),
-        tag,
     )
 
 
@@ -132,16 +125,14 @@ def _over_common_power(ctx, terms, levels, powers, dg) -> Polynomial:
     )
 
 
-def divides(
-    f: Polynomial, g: Polynomial, order: Optional[str] = None
-) -> DivisibilityVerdict:
+def divides(f: Polynomial, g: Polynomial) -> DivisibilityVerdict:
     """Does ``f`` divide ``g``?  A positive verdict carries a certificate.
 
     The certificate quotient is re-multiplied against the divisor before
     the verdict is reported, so a True answer never rests on the division
     routine alone.
     """
-    result = divide(g, f, order)
+    result = divide(g, f)
     if result.remainder.is_zero:
         if result.quotient * f != g:
             raise RingError("division produced an inconsistent certificate")

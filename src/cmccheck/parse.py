@@ -193,9 +193,8 @@ def parse_polynomial(src: str, ctx: RingContext) -> Polynomial:
 def to_text(f: Polynomial) -> str:
     """Canonical text: leading term first, signs folded into separators."""
     ctx, terms, den = f.ctx, f._terms, f._den
-    key, _ = ctx._heap_key(ctx.order)
     parts = []
-    for m in sorted(terms, key=key):
+    for m in sorted(terms, key=ctx._sort_key()):
         c = terms[m]
         parts.append(" - " if c < 0 else " + ")
         c = abs(c)

@@ -159,7 +159,7 @@ def _exact_quotient(
     dividend: Polynomial, divisor: Polynomial
 ) -> tuple[Polynomial, Polynomial]:
     """Lex quotient and remainder, with the identity re-checked."""
-    res = divide(dividend, divisor, "lex")
+    res = divide(dividend, divisor)
     if res.quotient * divisor + res.remainder != dividend:
         raise RingError("cascade division produced an inconsistent identity")
     return res.quotient, res.remainder

@@ -28,11 +28,11 @@ Internal layout (known only to this module):
   ``Fraction`` is built only where a coefficient leaves through the public
   API (:meth:`Polynomial.terms`, :meth:`Polynomial.coefficient`, ...).
 
-The public API speaks exponent tuples and ``Fraction``; the private
-``RingContext`` helpers (``_pack``, ``_unpack``, ``_heap_key``,
-``_check_packed``, ``_borrow``) are what :mod:`cmccheck.divide` uses, and
+The public API speaks exponent tuples and ``Fraction``.  Inside the
+package, :mod:`cmccheck.divide` works on the packed ints with the private
+``RingContext`` helpers ``_borrow`` and ``_check_packed``, and
 :func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
-``_den`` in ``_heap_key`` order.
+``_den``, sorted on ``RingContext._sort_key``: the context's print order.
 """
 
 from __future__ import annotations
@@ -93,26 +93,13 @@ def as_fraction(value: Rational) -> Fraction:
     )
 
 
-def grevlex_key(mono: tuple[int, ...]) -> tuple:
-    """Ascending sort key for graded reverse lexicographic order."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def lex_key(mono: tuple[int, ...]) -> tuple:
-    """Ascending sort key for lexicographic order, first variable heaviest."""
-    return mono
-
-
-_ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
-
-
 @dataclass(frozen=True)
 class RingContext:
     """Ordered variable roster with a geometric/parameter split.
 
-    ``order`` names the monomial order used for printing and as the
-    division default: ``"lex"`` (first declared variable most significant)
-    or ``"grevlex"``.
+    ``order`` names the monomial order used for printing and for leading
+    terms: ``"lex"`` (first declared variable most significant) or
+    ``"grevlex"``.  Division always runs under lex.
     """
 
     variables: tuple[str, ...]
@@ -129,7 +116,7 @@ class RingContext:
             raise RingError("duplicate variable names in ring context")
         if not 0 <= self.geometric_count <= len(self.variables):
             raise RingError("geometric_count out of range")
-        if self.order not in _ORDER_KEYS:
+        if self.order not in ("grevlex", "lex"):
             raise RingError(f"unknown monomial order: {self.order!r}")
         if self.exponent_guard < 1:
             raise RingError("exponent guard must be positive")
@@ -151,20 +138,19 @@ class RingContext:
             object.__setattr__(self, attr, value)
 
     @classmethod
-    def geometric(cls, n: int, order: str = "grevlex") -> "RingContext":
-        """Context with coordinate variables x1..xn and no parameters."""
+    def geometric(cls, n: int) -> "RingContext":
+        """Context with coordinate variables x1..xn and no parameters,
+        printed in grevlex."""
         if n < 1:
             raise RingError("need at least one variable")
-        return cls(tuple(f"x{i}" for i in range(1, n + 1)), n, order)
+        return cls(tuple(f"x{i}" for i in range(1, n + 1)), n)
 
     @classmethod
     def with_parameters(
-        cls,
-        geometric: Sequence[str],
-        parameters: Sequence[str],
-        order: str = "lex",
+        cls, geometric: Sequence[str], parameters: Sequence[str]
     ) -> "RingContext":
-        return cls(tuple(geometric) + tuple(parameters), len(geometric), order)
+        """Context with the given coordinates, then parameters, printed in lex."""
+        return cls(tuple(geometric) + tuple(parameters), len(geometric), "lex")
 
     @property
     def nvars(self) -> int:
@@ -229,13 +215,11 @@ class RingContext:
             for m in monos:
                 self._check_packed(m)
 
-    def _heap_key(self, order: str) -> tuple[Callable[[int], int], Callable[[int], int]]:
-        """``(key, unkey)``: int keys whose ascending order is the descending
-        monomial order, so a min-heap of keys pops the leading monomial."""
-        if order == "lex":
-            return _neg, _neg
-        if order != "grevlex":
-            raise RingError(f"unknown monomial order: {order!r}")
+    def _sort_key(self) -> Callable[[int], int]:
+        """Int key whose ascending order is the descending ``self.order``,
+        so sorting on it puts the leading monomial first."""
+        if self.order == "lex":
+            return _neg
         # Higher total degree first; at equal degree, the smaller exponent
         # vector read from the last variable up (fields reversed) leads.
         shifts, mask = self._shifts, self._mask
@@ -246,11 +230,7 @@ class RingContext:
             fields = [(m >> s) & mask for s in shifts]
             return (-sum(fields) << span) + sum(e << s for e, s in zip(fields, rev))
 
-        def unkey(k: int) -> int:
-            low = k & ((1 << span) - 1)
-            return sum(((low >> r) & mask) << s for r, s in zip(rev, shifts))
-
-        return key, unkey
+        return key
 
     def _degrees(self, monos: Collection[int]) -> Iterator[int]:
         """Geometric degree of each packed monomial of ``monos``, in order."""
@@ -368,7 +348,8 @@ class Polynomial:
     def coefficient(self, mono: Sequence[int]) -> Fraction:
         try:
             m = self.ctx._pack(mono)
-        except RingError:
+        except ExponentLimitError:
+            # No stored monomial lies above the guard.
             return Fraction(0)
         return self._fraction(self._terms.get(m, 0))
 
@@ -382,20 +363,16 @@ class Polynomial:
         unpack, frac = self.ctx._unpack, self._fraction
         return ((unpack(m), frac(c)) for m, c in self._terms.items())
 
-    def sorted_terms(
-        self, order: Optional[str] = None
-    ) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms sorted descending (leading term first)."""
-        key, _ = self.ctx._heap_key(self.ctx.order if order is None else order)
         unpack, frac = self.ctx._unpack, self._fraction
-        terms = self._terms
+        terms, key = self._terms, self.ctx._sort_key()
         return [(unpack(m), frac(terms[m])) for m in sorted(terms, key=key)]
 
-    def leading_monomial(self, order: Optional[str] = None) -> tuple[int, ...]:
+    def leading_monomial(self) -> tuple[int, ...]:
         if not self._terms:
             raise RingError("zero polynomial has no leading monomial")
-        key, unkey = self.ctx._heap_key(order or self.ctx.order)
-        return self.ctx._unpack(unkey(min(map(key, self._terms))))
+        return self.ctx._unpack(min(self._terms, key=self.ctx._sort_key()))
 
     def total_degree(self) -> Union[int, float]:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""

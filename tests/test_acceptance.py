@@ -227,7 +227,7 @@ def test_criterion_8_performance_floor():
     ok = ok and defect_elapsed < 30.0 and defect.degree_in("x1") == 12
 
     started = time.perf_counter()
-    division = divide(defect, f, "lex")
+    division = divide(defect, f)
     divide_elapsed = time.perf_counter() - started
     ok = ok and divide_elapsed < 5.0
     ok = ok and division.quotient * f + division.remainder == defect

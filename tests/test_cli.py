@@ -9,6 +9,7 @@ import pytest
 import cmccheck
 from cmccheck import cli
 from cmccheck.cli import TERM_CAP, _clip, main
+from cmccheck.parse import to_text
 from cmccheck.ring import Polynomial, RingContext
 
 SPHERE = "x1^2 + x2^2 + x3^2 - 1"
@@ -322,12 +323,11 @@ def test_clip_respects_term_cap():
     x = Polynomial.variable(ctx, "x1")
     big = sum((x**k for k in range(TERM_CAP + 1)), Polynomial.zero(ctx))
     assert len(big) == TERM_CAP + 1
-    clipped = _clip(big, full=False)
+    clipped = _clip(big, False, to_text(big))
     assert clipped == f"<{TERM_CAP + 1} terms; rerun with --full to print>"
-    assert _clip(big, full=True).count("+") == TERM_CAP
+    assert _clip(big, True, to_text(big)).count("+") == TERM_CAP
     small = x + 1
-    assert _clip(small, full=False) == "x1 + 1"
-    assert _clip(None, full=False) is None
+    assert _clip(small, False, to_text(small)) == "x1 + 1"
 
 
 def test_closed_stdout_exits_quietly_with_the_command_code():

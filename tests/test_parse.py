@@ -123,8 +123,8 @@ def test_to_text_matches_the_reference_renderer():
     contexts = (
         CTX,
         CTXP,
-        RingContext.geometric(3, order="lex"),
-        RingContext.with_parameters(["x1", "x2", "x3"], ["a"], order="grevlex"),
+        RingContext(("x1", "x2", "x3"), 3, order="lex"),
+        RingContext(("x1", "x2", "x3", "a"), 3, order="grevlex"),
     )
     for ctx in contexts:
         zero = Polynomial.zero(ctx)
