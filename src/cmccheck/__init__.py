@@ -11,7 +11,6 @@ from .calculus import (
     grad_norm_sq,
     gradient,
     laplacian,
-    p_laplacian,
     partial,
     symbolic_defect,
 )
@@ -26,7 +25,7 @@ from .cubic import (
 )
 from .divide import DivisionResult, divide, divides
 from .parse import ParseError, parse_polynomial, to_text
-from .replay import ReplayReport, ReplayStep, expected_gradsq_parts, replay
+from .replay import ReplayReport, ReplayStep, replay
 from .ring import (
     ContextMismatchError,
     ExponentLimitError,
@@ -58,13 +57,11 @@ __all__ = [
     "delta1",
     "divide",
     "divides",
-    "expected_gradsq_parts",
     "generic_cubic",
     "grad_norm_sq",
     "gradient",
     "laplacian",
     "make_surface",
-    "p_laplacian",
     "parse_polynomial",
     "partial",
     "quad_form_from_matrix",

@@ -56,17 +56,6 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
     return out
 
 
-def p_laplacian(f: Polynomial, p: Rational) -> Polynomial:
-    """|grad f|^2 * lap f + (p-2)/2 * grad(f) . grad(|grad f|^2)."""
-    p = as_fraction(p)
-    gns = grad_norm_sq(f)
-    out = gns * laplacian(f)
-    weight = (p - 2) / 2
-    if weight:
-        out = out + dot(gradient(f), gradient(gns)) * weight
-    return out
-
-
 def delta1(f: Polynomial) -> Polynomial:
     """2*|grad f|^2 * lap f - grad(f) . grad(|grad f|^2)."""
     gns = grad_norm_sq(f)

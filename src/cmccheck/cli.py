@@ -32,7 +32,7 @@ TERM_CAP = 200
 # the rare sample that passes the top-form test and builds its degree-12
 # residues (a cubed dense linear form plus a dense quadratic takes 7 s and
 # 59 MB at n = 8, 23 s and 110 MB at n = 9, on a 2-core Intel Xeon);
-# ``replay --n 10`` takes 5 to 7 s and 300 MB there.
+# ``replay --n 10`` takes 3.4 to 8.7 s and 300 MB there, with host load.
 MAX_VARS = 64
 MAX_SWEEP_N = 8
 MAX_REPLAY_N = 10

@@ -210,29 +210,8 @@ class SymMatrix:
                 if self.entries[i][j] != self.entries[j][i]:
                     raise RingError("matrix entries must be symmetric")
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
-    def trace(self) -> Polynomial:
-        if not self.entries:
-            raise RingError("trace of an empty matrix is undefined")
-        out = Polynomial.zero(self.entries[0][0].ctx)
-        for i in range(self.size):
-            out = out + self.entries[i][i]
-        return out
-
-
-def quad_form_to_matrix(
-    q: Polynomial, variables: Optional[Sequence[str]] = None
-) -> SymMatrix:
+def quad_form_to_matrix(q: Polynomial, variables: Sequence[str]) -> SymMatrix:
     """Unique symmetric matrix M with q = v'Mv over the designated variables.
 
     Every term of ``q`` must have degree exactly 2 in the designated
@@ -241,8 +220,6 @@ def quad_form_to_matrix(
     coefficients, so the representation is exactly symmetric.
     """
     ctx = q.ctx
-    if variables is None:
-        variables = ctx.geometric_variables
     idx = [ctx.index(name) for name in variables]
     designated = set(idx)
     pos = {v: t for t, v in enumerate(idx)}
@@ -277,11 +254,11 @@ def quad_form_from_matrix(
     matrix: SymMatrix, variables: Sequence[str], ctx: RingContext
 ) -> Polynomial:
     """Rebuild v'Mv; inverse of :func:`quad_form_to_matrix`."""
-    if matrix.size != len(variables):
+    if len(matrix.entries) != len(variables):
         raise RingError("variable list does not match matrix size")
     out = Polynomial.zero(ctx)
     vs = [Polynomial.variable(ctx, name) for name in variables]
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            out = out + matrix.entry(i, j) * vs[i] * vs[j]
+    for vi, row in zip(vs, matrix.entries):
+        for vj, entry in zip(vs, row):
+            out = out + entry * vi * vj
     return out

@@ -144,11 +144,6 @@ def _expected_delta1(spec: GenericCubicSpec, gradsq: Polynomial) -> Polynomial:
     )
 
 
-def expected_gradsq_parts(n: int) -> list[Polynomial]:
-    """The five printed homogeneous parts of |grad f|^2, degrees 0..4."""
-    return _expected_parts(generic_cubic(n)[1])
-
-
 def expected_delta1_expansion(n: int) -> Polynomial:
     """The printed closed-form expansion of delta1(f) for dimension n."""
     f, spec = generic_cubic(n)

@@ -28,8 +28,10 @@ Internal layout (known only to this module):
   ``Fraction`` is built only where a coefficient leaves through the public
   API (:meth:`Polynomial.terms`, :meth:`Polynomial.coefficient`, ...).
 
-The public API speaks exponent tuples and ``Fraction``.  Inside the
-package, :mod:`cmccheck.divide` works on the packed ints with the private
+The public API speaks exponent tuples and ``Fraction``.  It has no ``/``:
+scale by a ``Fraction`` with ``*``, and divide by a polynomial with
+:func:`cmccheck.divide.divide`.  Inside the package,
+:mod:`cmccheck.divide` works on the packed ints with the private
 ``RingContext`` helpers ``_borrow`` and ``_check_packed``, and
 :func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
 ``_den``, sorted on ``RingContext._sort_key``: the context's print order.
@@ -62,6 +64,11 @@ POS_INF = math.inf
 #: guard exists to turn runaway symbolic blowups into a clean error instead
 #: of an out-of-memory kill.
 DEFAULT_EXPONENT_GUARD = 2**16 - 1
+
+#: Cap on a power's coefficient size in bits, bounded before the power is
+#: formed by the exponent times the bit length of the base's largest
+#: numerator or of its denominator.  The guard above bounds exponents only.
+MAX_POWER_BITS = 2**20
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -353,21 +360,12 @@ class Polynomial:
             return Fraction(0)
         return self._fraction(self._terms.get(m, 0))
 
-    def constant_term(self) -> Fraction:
-        return self._fraction(self._terms.get(0, 0))
-
     def monomials(self) -> Iterator[tuple[int, ...]]:
         return map(self.ctx._unpack, self._terms)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         unpack, frac = self.ctx._unpack, self._fraction
         return ((unpack(m), frac(c)) for m, c in self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms sorted descending (leading term first)."""
-        unpack, frac = self.ctx._unpack, self._fraction
-        terms, key = self._terms, self.ctx._sort_key()
-        return [(unpack(m), frac(terms[m])) for m in sorted(terms, key=key)]
 
     def leading_monomial(self) -> tuple[int, ...]:
         if not self._terms:
@@ -540,7 +538,9 @@ class Polynomial:
             ctx = self.ctx
             [(m, c)] = self._terms.items()
             m = ctx._pack([e * exponent for e in ctx._unpack(m)])
+            self._check_power_bits(exponent)
             return Polynomial._from_ints(ctx, {m: c**exponent}, self._den**exponent)
+        self._check_power_bits(exponent)
         result = Polynomial.one(self.ctx)
         base = self
         e = exponent
@@ -551,16 +551,13 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __truediv__(self, other) -> "Polynomial":
-        # Scalar division only; polynomial division lives in the divide module.
-        if isinstance(other, (int, Fraction)):
-            scale = as_fraction(other)
-            if not scale:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / scale)
-        if isinstance(other, float):
-            as_fraction(other)
-        return NotImplemented
+    def _check_power_bits(self, exponent: int) -> None:
+        bits = max((self._den, *map(abs, self._terms.values()))).bit_length()
+        if exponent * bits > MAX_POWER_BITS:
+            raise ExponentLimitError(
+                f"power {exponent} of a {bits}-bit coefficient exceeds the "
+                f"{MAX_POWER_BITS}-bit coefficient cap"
+            )
 
     def _derivative(self, i: int) -> "Polynomial":
         """Partial derivative in the ``i``-th variable."""
@@ -574,16 +571,16 @@ class Polynomial:
         return Polynomial._from_ints(ctx, terms, self._den)
 
     # ------------------------------------------------------------------
-    # substitution and evaluation
+    # substitution
 
     def substitute(
         self, bindings: Mapping[str, Union["Polynomial", Rational]]
     ) -> "Polynomial":
         """Replace bound variables; unbound ones pass through unchanged.
 
-        Values may be rationals or polynomials over this context (or over a
-        context whose variables all exist here, embedded by name).
-        Unknown variable names are an error.
+        Values may be rationals or polynomials over this same context; a
+        polynomial from another context, a sub-context included, raises
+        ContextMismatchError.  Unknown variable names are an error.
         """
         if not bindings:
             return self
@@ -592,7 +589,7 @@ class Polynomial:
         for name, value in bindings.items():
             i = self.ctx.index(name)
             if isinstance(value, Polynomial):
-                polys[i] = self._embed(value)
+                polys[i] = self._coerce(value)
             else:
                 scalar[i] = as_fraction(value)
         scaled = self._substitute_scalars(scalar) if scalar else self
@@ -650,35 +647,6 @@ class Polynomial:
             del acc[m]
         return Polynomial._from_ints(ctx, acc, self._den * common)
 
-    def _embed(self, value: "Polynomial") -> "Polynomial":
-        if value.ctx == self.ctx:
-            return value
-        try:
-            positions = [self.ctx.index(name) for name in value.ctx.variables]
-        except UnknownVariableError:
-            raise ContextMismatchError(
-                "cannot embed polynomial: its variables are not all declared here"
-            ) from None
-        blank = [0] * self.ctx.nvars
-        terms = {}
-        for mono, coeff in zip(value.monomials(), value._terms.values()):
-            m = blank[:]
-            for pos, e in zip(positions, mono):
-                m[pos] = e
-            terms[self.ctx._pack(m)] = coeff
-        return Polynomial._from_ints(self.ctx, terms, value._den)
-
-    def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
-        """Evaluate at a full rational point (every used variable bound)."""
-        values = {self.ctx.index(name): as_fraction(v) for name, v in point.items()}
-        used = self.ctx._unpack(reduce(_or, self._terms, 0))
-        for i, e in enumerate(used):
-            if e and i not in values:
-                raise RingError(
-                    f"no value given for variable {self.ctx.variables[i]!r}"
-                )
-        return self._substitute_scalars(values).constant_term()
-
     # ------------------------------------------------------------------
     # equality, hashing, display
 
@@ -694,6 +662,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its Fraction value, so it must hash like it.
+        if self._terms.keys() <= {0}:
+            return hash(self._fraction(self._terms.get(0, 0)))
         return hash((self.ctx, self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:

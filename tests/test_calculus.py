@@ -6,16 +6,19 @@ from fractions import Fraction
 from cmccheck.calculus import (
     cmc_defect,
     delta1,
-    dot,
     grad_norm_sq,
     gradient,
     laplacian,
-    p_laplacian,
     partial,
     symbolic_defect,
 )
 from cmccheck.ring import Polynomial, RingContext, RingError
-from oracles import check_delta1_identity, random_point, random_polynomial
+from oracles import (
+    check_delta1_identity,
+    random_point,
+    random_polynomial,
+    raw_evaluate,
+)
 
 CTX3 = RingContext.geometric(3)
 CTXP = RingContext.with_parameters(["x1", "x2", "x3"], ["a", "Ht"])
@@ -92,16 +95,6 @@ def test_delta1_on_linear_is_zero():
     assert delta1(var(CTX3, "x1") * 3 + var(CTX3, "x2")).is_zero
 
 
-def test_p_laplacian_cases():
-    f = radial(CTX3) - 1
-    assert p_laplacian(f, 2) == grad_norm_sq(f) * laplacian(f)
-    harmonic = var(CTX3, "x1") ** 2 - var(CTX3, "x2") ** 2
-    assert p_laplacian(harmonic, 2).is_zero
-    assert p_laplacian(f, Fraction(3, 2)) == grad_norm_sq(f) * laplacian(
-        f
-    ) - dot(gradient(f), gradient(grad_norm_sq(f))) * Fraction(1, 4)
-
-
 def test_delta1_is_twice_p1_laplacian():
     check_delta1_identity(random.Random(23), CTX3, 100)
     check_delta1_identity(random.Random(24), CTXP, 100)
@@ -112,7 +105,7 @@ def test_grad_norm_sq_nonnegative_at_points():
     for _ in range(100):
         f = random_polynomial(rng, CTX3, max_degree=4)
         point = random_point(rng, CTX3)
-        assert grad_norm_sq(f).evaluate(point) >= 0
+        assert raw_evaluate(grad_norm_sq(f), point) >= 0
 
 
 def test_finite_difference_gradient_crosscheck():
@@ -128,8 +121,8 @@ def test_finite_difference_gradient_crosscheck():
             down = dict(point)
             up[name] = point[name] + h
             down[name] = point[name] - h
-            quotient = (f.evaluate(up) - f.evaluate(down)) / (2 * h)
-            exact = grads[i].evaluate(point)
+            quotient = (raw_evaluate(f, up) - raw_evaluate(f, down)) / (2 * h)
+            exact = raw_evaluate(grads[i], point)
             assert abs(quotient - exact) <= tol * max(1, abs(exact))
 
 

@@ -312,6 +312,15 @@ def test_dimension_caps_are_inclusive(capsys):
     assert code == 0 and "admissible: 1 of 1" in out
 
 
+def test_powers_with_huge_coefficients_exit_2(capsys):
+    """The coefficient cap of ``**`` ends a hostile power at once, through
+    the one-term path and the repeated-squaring path alike."""
+    for poly in ("(3^65535)^1000", "(3^65535 + x1)^1000"):
+        code, out, err = run(capsys, "decompose", poly, "--vars", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "coefficient cap" in err
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

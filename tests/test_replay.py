@@ -11,7 +11,6 @@ from cmccheck.divide import divides
 from cmccheck.replay import (
     MUTATIONS,
     expected_delta1_expansion,
-    expected_gradsq_parts,
     replay,
 )
 from cmccheck.ring import Polynomial, RingError
@@ -64,23 +63,6 @@ def test_obstruction_witness_is_the_quartic_power():
     )
     quad = a11 * y1**2 + a12 * y1 * y2 * 2 + a22 * y2**2
     assert report.step("obstruction").witness == -(ht**2) * quad**4 * 729
-
-
-def test_expected_gradsq_parts_shape():
-    parts = expected_gradsq_parts(3)
-    assert len(parts) == 5
-    ctx = parts[0].ctx
-    k1 = Polynomial.variable(ctx, "k1")
-    s1, s2 = Polynomial.variable(ctx, "s_1"), Polynomial.variable(ctx, "s_2")
-    x = Polynomial.variable(ctx, "x1")
-    assert parts[0] == k1**2 + s1**2 + s2**2
-    assert parts[4] == x**4 * 9
-    # the degree-3 part carries an x factor in every term
-    assert parts[3].substitute({"x1": Fraction(0)}).is_zero
-    for k, part in enumerate(parts):
-        assert part.homogeneous_part(k) == part
-    f, _ = generic_cubic(3)
-    assert sum(parts, Polynomial.zero(ctx)) == grad_norm_sq(f)
 
 
 def test_expected_delta1_expansion_matches_engine():
