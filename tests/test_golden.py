@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from cmccheck.cli import main
-from cmccheck.parse import to_text
+from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.replay import replay
+from cmccheck.ring import RingContext
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text())
@@ -83,3 +84,27 @@ def replay_record(n, mutation):
 )
 def test_golden_replay_records(entry):
     assert replay_record(entry["n"], entry["mutation"]) == entry
+
+
+# ``golden_parse_errors.json`` holds malformed polynomial texts, each with
+# the exception type and exact message that parsing it against
+# ``RingContext.geometric(3)`` raised when the file was recorded: syntax
+# errors, multi-line inputs with tabs, stray characters after long runs of
+# whitespace, undeclared names, the exponent guard, the coefficient cap and
+# seeded junk strings.  A long source is stored as ``[text, count]`` pieces.
+PARSE_ERRORS = json.loads(
+    Path(__file__).with_name("golden_parse_errors.json").read_text()
+)
+PARSE_CTX = RingContext.geometric(3)
+
+
+def _source(src):
+    return src if isinstance(src, str) else "".join(t * k for t, k in src)
+
+
+@pytest.mark.parametrize("entry", PARSE_ERRORS, ids=range(len(PARSE_ERRORS)))
+def test_golden_parse_errors(entry):
+    with pytest.raises((ValueError, ArithmeticError)) as err:
+        parse_polynomial(_source(entry["src"]), PARSE_CTX)
+    assert type(err.value).__name__ == entry["type"]
+    assert str(err.value) == entry["message"]
