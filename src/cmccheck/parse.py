@@ -12,22 +12,46 @@ Grammar (whitespace insensitive, no implicit multiplication):
 A single sign is allowed only at the start of an expression (so also right
 after an opening parenthesis); ``x^-2`` and ``3*-7`` are syntax errors, as
 is ``2x``.  Exponents must be non-negative integer literals.  Every
-identifier must be declared in the ring context.
+identifier must be declared in the ring context.  Parentheses nest at most
+:data:`MAX_NESTING` deep.
+
+Parsing is linear in the size of the text.  One regular expression splits
+it into tokens.  A term of numbers and ``name^INT`` factors is folded into
+one ``(packed monomial, numerator, denominator)`` triple; only a
+parenthesised factor is a :class:`Polynomial`.  Each sum adds its terms
+into one dict and becomes a polynomial once.
 
 :func:`to_text` prints terms leading-first under the context's monomial
 order with coefficients in lowest terms, and its output parses back to an
-equal polynomial.
+equal polynomial.  It visits only the variables that occur in a monomial.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Optional
+import re
+from itertools import islice
+from typing import NoReturn, Optional, Union
 
-from .ring import Polynomial, RingContext
+from .ring import Polynomial, RingContext, _term_power
 
-_OPS = set("+-*^/()")
+#: Deepest nesting of parentheses the parser accepts, far below the
+#: interpreter's recursion limit.  Past it, :class:`ParseError` points at
+#: the first ``(`` too deep.
+MAX_NESTING = 100
+
+_OPS = frozenset("+-*^/()")
+# A token is a run of decimal digits, a word or an operator.  Whitespace
+# and stray characters match nothing and are skipped, and no alternative
+# can backtrack into another, so one scan is linear in the text.
+_TOKEN = re.compile(r"\d+|\w+|[-+*^/()]")
+# The same tokens and runs of whitespace: a walk to a stray character.
+_SCAN = re.compile(r"\s+|\d+|\w+|[-+*^/()]")
+
+# A term of numbers and variable powers: (packed monomial, numerator,
+# denominator) in lowest terms, with (0, 0, 1) for zero.  A parenthesised
+# factor makes it a Polynomial.
+_Term = Union[tuple[int, int, int], Polynomial]
 
 
 class ParseError(ValueError):
@@ -39,160 +63,201 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    line: int
-    col: int
+def _position(src: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``src[offset]``."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+def _starts_token(text: str) -> bool:
+    # ``\w`` also takes digits such as '²' that are not decimal, but a
+    # name starts with a letter or '_'.
+    ch = text[0]
+    return ch.isalpha() or ch == "_" or ch.isdecimal() or ch in _OPS
+
+
+def _tokenize(src: str) -> list[str]:
+    """The tokens of ``src`` as plain strings, then ``""`` for the end."""
+    tokens = _TOKEN.findall(src)
+    if "".join(tokens) != "".join(src.split()) or (
+        not src.isascii() and not all(map(_starts_token, tokens))
+    ):
+        _raise_stray(src)
+    tokens.append("")
     return tokens
 
 
+def _raise_stray(src: str) -> NoReturn:
+    """Raise at the first character that starts no token."""
+    pos = 0
+    while True:
+        ch = src[pos]
+        if not (ch.isspace() or _starts_token(ch)):
+            raise ParseError(f"unexpected character {ch!r}", *_position(src, pos))
+        pos = _SCAN.match(src, pos).end()
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], ctx: RingContext) -> None:
-        self.tokens = tokens
+    def __init__(self, src: str, ctx: RingContext) -> None:
+        self.src = src
+        self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # open parentheses
         self.ctx = ctx
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Optional[_Token] = None) -> None:
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, index: Optional[int] = None) -> NoReturn:
+        """Raise at token ``index``, by default the next one; its offset is
+        found by scanning again, so tokens carry no positions."""
+        index = self.pos if index is None else index
+        if self.tokens[index]:
+            offset = next(islice(_TOKEN.finditer(self.src), index, None)).start()
+        else:
+            offset = len(self.src)
+        raise ParseError(message, *_position(self.src, offset))
 
     def expr(self) -> Polynomial:
+        # Every term goes into one dict over a common denominator, in the
+        # order a chain of ``+`` would leave, and a polynomial is built once.
+        tokens = self.tokens
+        acc: dict[int, int] = {}
+        den = 1
         sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        value = self.term()
-        if sign < 0:
-            value = -value
+        tok = tokens[self.pos]
+        if tok == "+" or tok == "-":
+            self.pos += 1
+            sign = -1 if tok == "-" else 1
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value - rhs if tok.text == "-" else value + rhs
+            value = self.term()
+            if type(value) is tuple:
+                m, c, d = value
+                terms = {m: c} if c else {}
             else:
-                return value
+                terms, d = value._terms, value._den
+            if den % d:
+                grown = math.lcm(den, d)
+                acc = {m: c * (grown // den) for m, c in acc.items()}
+                den = grown
+            scale = sign * (den // d)
+            get = acc.get
+            for m, c in terms.items():
+                c = get(m, 0) + c * scale
+                if c:
+                    acc[m] = c
+                else:
+                    del acc[m]
+            tok = tokens[self.pos]
+            if tok == "+":
+                sign = 1
+            elif tok == "-":
+                sign = -1
+            else:
+                return Polynomial._from_ints(self.ctx, acc, den)
+            self.pos += 1
 
-    def term(self) -> Polynomial:
+    def term(self) -> _Term:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                value = value * self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                value = self._times(value, rhs)
             else:
-                return value
+                value = self._polynomial(value) * self._polynomial(rhs)
+        return value
 
-    def factor(self) -> Polynomial:
-        value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "^":
-                self.advance()
-                etok = self.peek()
-                if etok.kind != "int":
-                    self.fail("exponent must be a non-negative integer literal")
-                self.advance()
-                value = value ** int(etok.text)
-            else:
-                return value
+    def _times(
+        self, a: tuple[int, int, int], b: tuple[int, int, int]
+    ) -> tuple[int, int, int]:
+        c, d = a[1] * b[1], a[2] * b[2]
+        if not c:
+            # Zero times anything is zero, with no monomial to check.
+            return (0, 0, 1)
+        if d != 1:
+            g = math.gcd(c, d)
+            c, d = c // g, d // g
+        m = a[0] + b[0]
+        self.ctx._check_packed(m)
+        return (m, c, d)
 
-    def atom(self) -> Polynomial:
-        tok = self.advance()
-        if tok.kind == "int":
-            numer = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                dtok = self.peek()
-                if dtok.kind != "int":
-                    self.fail("denominator must be an integer literal", dtok)
-                self.advance()
-                denom = int(dtok.text)
-                if denom == 0:
-                    self.fail("denominator must be nonzero", dtok)
-                return Polynomial.constant(self.ctx, Fraction(numer, denom))
-            return Polynomial.constant(self.ctx, numer)
-        if tok.kind == "name":
-            if tok.text not in self.ctx.variables:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
-            return Polynomial.variable(self.ctx, tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            value = self.expr()
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
-                self.fail("expected ')'", closing)
-            self.advance()
+    def _polynomial(self, value: _Term) -> Polynomial:
+        if type(value) is not tuple:
             return value
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected {tok.text!r}", tok)
-        raise AssertionError("unreachable")
+        m, c, d = value
+        return Polynomial._from_ints(self.ctx, {m: c} if c else {}, d)
+
+    def factor(self) -> _Term:
+        value = self.atom()
+        tokens = self.tokens
+        while tokens[self.pos] == "^":
+            self.pos += 1
+            e = tokens[self.pos]
+            if not e.isdecimal():
+                self.fail("exponent must be a non-negative integer literal")
+            self.pos += 1
+            if type(value) is tuple:
+                value = _term_power(self.ctx, *value, int(e))
+            else:
+                value = value ** int(e)
+        return value
+
+    def atom(self) -> _Term:
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        self.pos += 1
+        if tok.isdecimal():
+            c = int(tok)
+            if tokens[self.pos] != "/":
+                return (0, c, 1)
+            self.pos += 1
+            d = tokens[self.pos]
+            if not d.isdecimal():
+                self.fail("denominator must be an integer literal")
+            d = int(d)
+            if not d:
+                self.fail("denominator must be nonzero")
+            self.pos += 1
+            g = math.gcd(c, d)
+            return (0, c // g, d // g)
+        if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
+            value = self.expr()
+            if tokens[self.pos] != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return value
+        if not tok:
+            self.fail("unexpected end of input", at)
+        if tok in _OPS:
+            self.fail(f"unexpected {tok!r}", at)
+        index = self.ctx._index.get(tok)
+        if index is None:
+            self.fail(f"undeclared variable {tok!r}", at)
+        return (1 << self.ctx._shifts[index], 1, 1)
 
 
 def parse_polynomial(src: str, ctx: RingContext) -> Polynomial:
     """Parse polynomial text against a ring context."""
-    parser = _Parser(_tokenize(src), ctx)
+    parser = _Parser(src, ctx)
     value = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail(f"unexpected {trailing.text!r} after expression", trailing)
+    trailing = parser.tokens[parser.pos]
+    if trailing:
+        parser.fail(f"unexpected {trailing!r} after expression")
     return value
 
 
 def to_text(f: Polynomial) -> str:
     """Canonical text: leading term first, signs folded into separators."""
     ctx, terms, den = f.ctx, f._terms, f._den
+    if not terms:
+        return "0"
+    # A monomial is read from its top set bit down, one nonzero field at a
+    # time; each field's ``name^e`` is formatted once per call.
+    width = ctx._mask.bit_length()
+    names = ctx.variables[::-1]
+    powers: dict[int, str] = {}
     parts = []
     for m in sorted(terms, key=ctx._sort_key()):
         c = terms[m]
@@ -202,13 +267,16 @@ def to_text(f: Polynomial) -> str:
         if c != den or not m:
             g = math.gcd(c, den)
             factors.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-        for name, e in zip(ctx.variables, ctx._unpack(m)):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
+        while m:
+            shift = m.bit_length() - 1
+            shift -= shift % width
+            field = m >> shift << shift
+            text = powers.get(field)
+            if text is None:
+                e, name = field >> shift, names[shift // width]
+                text = powers[field] = name if e == 1 else f"{name}^{e}"
+            factors.append(text)
+            m -= field
         parts.append("*".join(factors))
-    if not parts:
-        return "0"
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

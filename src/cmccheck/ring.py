@@ -32,7 +32,11 @@ The public API speaks exponent tuples and ``Fraction``.  It has no ``/``:
 scale by a ``Fraction`` with ``*``, and divide by a polynomial with
 :func:`cmccheck.divide.divide`.  Inside the package,
 :mod:`cmccheck.divide` works on the packed ints with the private
-``RingContext`` helpers ``_borrow`` and ``_check_packed``, and
+``RingContext`` helpers ``_borrow`` and ``_check_packed``.
+:func:`cmccheck.parse.parse_polynomial` folds a term's factors into one
+packed monomial, kept carry-free with ``_check_packed`` after each product
+and raised to powers by ``_term_power`` (the one-term path of ``**``), and
+builds each sum once through ``Polynomial._from_ints``.
 :func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
 ``_den``, sorted on ``RingContext._sort_key``: the context's print order.
 """
@@ -138,6 +142,7 @@ class RingContext:
             "_index": {name: i for i, name in enumerate(self.variables)},
             "_shifts": shifts,
             "_mask": (1 << width) - 1,
+            "_ones": ones,
             "_borrow": ones * guard_bit,
             "_lift": ones * (guard_bit - 1 - self.exponent_guard),
         }
@@ -253,6 +258,35 @@ class RingContext:
             return map(modulus.__rmod__, map(base.__rrshift__, monos))
         mask, shifts = self._mask, self._shifts[:g]
         return (sum((m >> s) & mask for s in shifts) for m in monos)
+
+
+def _check_power_bits(exponent: int, largest: int) -> None:
+    """Refuse a power whose coefficients would pass ``MAX_POWER_BITS``,
+    given the base's largest numerator or denominator."""
+    bits = largest.bit_length()
+    if exponent * bits > MAX_POWER_BITS:
+        raise ExponentLimitError(
+            f"power {exponent} of a {bits}-bit coefficient exceeds the "
+            f"{MAX_POWER_BITS}-bit coefficient cap"
+        )
+
+
+def _term_power(
+    ctx: RingContext, m: int, c: int, den: int, exponent: int
+) -> tuple[int, int, int]:
+    """``(c/den * m) ** exponent`` for one term in lowest terms, as
+    ``(monomial, numerator, denominator)``.  The exponents are checked
+    against the guard before they are scaled, so no field can carry; then
+    the coefficient is checked against the cap."""
+    if exponent > 1:
+        # ``_check_packed``'s test at the bound ``guard // exponent``: a
+        # field above it passes the guard once scaled, and ``_pack`` raises
+        # the guard's error for it.
+        lift = ctx._ones * (ctx._mask // 2 - ctx.exponent_guard // exponent)
+        if (m + lift) & ctx._borrow:
+            ctx._pack([e * exponent for e in ctx._unpack(m)])
+    _check_power_bits(exponent, max(den, abs(c)))
+    return m * exponent, c**exponent, den**exponent
 
 
 class Polynomial:
@@ -533,31 +567,19 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise RingError("polynomial powers take non-negative integer exponents")
         if len(self._terms) == 1:
-            # A one-term base scales its exponents, which ``_pack`` checks
-            # before packing so that no field can carry.
-            ctx = self.ctx
             [(m, c)] = self._terms.items()
-            m = ctx._pack([e * exponent for e in ctx._unpack(m)])
-            self._check_power_bits(exponent)
-            return Polynomial._from_ints(ctx, {m: c**exponent}, self._den**exponent)
-        self._check_power_bits(exponent)
-        result = Polynomial.one(self.ctx)
+            m, c, den = _term_power(self.ctx, m, c, self._den, exponent)
+            return Polynomial._from_ints(self.ctx, {m: c}, den)
+        _check_power_bits(exponent, max((self._den, *map(abs, self._terms.values()))))
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
-
-    def _check_power_bits(self, exponent: int) -> None:
-        bits = max((self._den, *map(abs, self._terms.values()))).bit_length()
-        if exponent * bits > MAX_POWER_BITS:
-            raise ExponentLimitError(
-                f"power {exponent} of a {bits}-bit coefficient exceeds the "
-                f"{MAX_POWER_BITS}-bit coefficient cap"
-            )
+        return Polynomial.one(self.ctx) if result is None else result
 
     def _derivative(self, i: int) -> "Polynomial":
         """Partial derivative in the ``i``-th variable."""

@@ -1,12 +1,14 @@
 import random
+import time
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmccheck.parse import ParseError, parse_polynomial, to_text
-from cmccheck.ring import Polynomial, RingContext
+from cmccheck.cli import main
+from cmccheck.parse import MAX_NESTING, ParseError, parse_polynomial, to_text
+from cmccheck.ring import ExponentLimitError, Polynomial, RingContext
 from oracles import random_polynomial, raw_to_text
 
 CTX = RingContext.geometric(3)
@@ -150,3 +152,77 @@ def test_to_text_matches_the_reference_renderer():
 def test_round_trip_hypothesis(items):
     f = Polynomial(CTX, [(tuple(m), c) for m, c in items])
     assert parse_polynomial(to_text(f), CTX) == f
+
+
+def test_nesting_is_capped_with_a_positioned_error():
+    assert MAX_NESTING == 100
+    deep = "(" * 100 + "x1" + ")" * 100
+    assert parse(deep + "^2") == parse("x1^2")
+    with pytest.raises(ParseError) as err:
+        parse("x1 + " + "(" * 101 + "x1" + ")" * 101)
+    # the 101st '(' is the first one too deep
+    assert (err.value.line, err.value.col) == (1, 106)
+    assert "nested deeper than 100" in str(err.value)
+
+
+def test_hostile_nesting_exits_2_without_a_traceback(capsys):
+    deep = "(" * 5000 + "x1" + ")" * 5000
+    code = main(["decompose", deep, "--vars", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: line 1, col 101: ")
+    assert "Traceback" not in captured.err
+
+
+def test_monomial_powers_raise_what_polynomial_powers_raise():
+    """A power folded into a term raises the guard and cap errors of
+    ``Polynomial.__pow__`` word for word."""
+    x1 = Polynomial.variable(CTX, "x1")
+    cases = (
+        ("x1^70000", lambda: x1**70000),
+        ("x1^300^300", lambda: (x1**300) ** 300),
+        ("(3^65535)^1000", lambda: Polynomial.constant(CTX, 3**65535) ** 1000),
+        ("1^2000000", lambda: Polynomial.one(CTX) ** 2000000),
+        ("0^2000000", lambda: Polynomial.zero(CTX) ** 2000000),
+    )
+    for src, power in cases:
+        with pytest.raises(ExponentLimitError) as want:
+            power()
+        with pytest.raises(ExponentLimitError) as got:
+            parse(src)
+        assert str(got.value) == str(want.value)
+
+
+def _best_parse_time(src, ctx):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        f = parse_polynomial(src, ctx)
+        times.append(time.perf_counter() - start)
+    return min(times), f
+
+
+def test_parsing_is_linear():
+    """Eight times the terms take at most twelve times as long; a parser
+    that copies the growing sum at every term reads about 16 to 18."""
+    ctx = RingContext.geometric(2)
+
+    def text(n):
+        return " + ".join(f"{i % 7 + 1}*x1^{i}*x2^{i % 5}" for i in range(n))
+
+    small, _ = _best_parse_time(text(2500), ctx)
+    large, f = _best_parse_time(text(20000), ctx)
+    assert len(f) == 20000
+    assert large / small <= 12
+    assert parse_polynomial(to_text(f), ctx) == f
+
+
+@pytest.mark.parametrize(
+    "src", [" " * 100000 + "@", "x" * 50000 + " @"], ids=["spaces", "long-name"]
+)
+def test_stray_characters_after_long_runs_fail_fast(src):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert time.perf_counter() - start < 1
+    assert str(err.value).endswith("unexpected character '@'")
