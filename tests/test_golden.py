@@ -12,6 +12,7 @@ the files are records, so they are never regenerated to make this test
 pass.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,3 +109,21 @@ def test_golden_parse_errors(entry):
         parse_polynomial(_source(entry["src"]), PARSE_CTX)
     assert type(err.value).__name__ == entry["type"]
     assert str(err.value) == entry["message"]
+
+
+# The sha256 of ``replay --n N --json`` standard output for N past the
+# golden replay records above, recorded before the multiply-accumulate
+# kernel replaced the product loops; a faster kernel must print the same
+# bytes.
+REPLAY_SHA256 = {
+    5: "66d59b874d02f08b0a835aac47de293ee8ab23c30e386f8f628a4da5498874aa",
+    6: "efa769753cbcb838f5c8447ec7ed99118c0612894690a6bd58942841fd96cedf",
+    7: "4c1ed584da7a4be69585a2e7fb4f3cfb5888388d1154d8836c3562e7b68cf138",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPLAY_SHA256))
+def test_replay_json_bytes_at_larger_n(n, capsys):
+    assert main(["replay", "--n", str(n), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_SHA256[n]
