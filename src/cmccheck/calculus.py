@@ -39,10 +39,7 @@ def laplacian(f: Polynomial) -> Polynomial:
 
 
 def grad_norm_sq(f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(f.ctx)
-    for g in gradient(f):
-        out = out + g * g
-    return out
+    return Polynomial._sum_of_products(f.ctx, [(g, g) for g in gradient(f)])
 
 
 def dot(u: PolyVector, v: PolyVector) -> Polynomial:
@@ -50,16 +47,15 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
         raise RingError("dot product needs vectors of equal length")
     if not u:
         raise RingError("dot product of empty vectors is undefined")
-    out = Polynomial.zero(u[0].ctx)
-    for a, b in zip(u, v):
-        out = out + a * b
-    return out
+    return Polynomial._sum_of_products(u[0].ctx, list(zip(u, v)))
 
 
 def delta1(f: Polynomial) -> Polynomial:
     """2*|grad f|^2 * lap f - grad(f) . grad(|grad f|^2)."""
     gns = grad_norm_sq(f)
-    return gns * laplacian(f) * 2 - dot(gradient(f), gradient(gns))
+    pairs = [(gns, laplacian(f) * 2)]
+    pairs += zip(gradient(f), [-g for g in gradient(gns)])
+    return Polynomial._sum_of_products(f.ctx, pairs)
 
 
 def cmc_defect(f: Polynomial, hsq: Rational) -> Polynomial:

@@ -256,9 +256,9 @@ def quad_form_from_matrix(
     """Rebuild v'Mv; inverse of :func:`quad_form_to_matrix`."""
     if len(matrix.entries) != len(variables):
         raise RingError("variable list does not match matrix size")
-    out = Polynomial.zero(ctx)
     vs = [Polynomial.variable(ctx, name) for name in variables]
-    for vi, row in zip(vs, matrix.entries):
-        for vj, entry in zip(vs, row):
-            out = out + entry * vi * vj
-    return out
+    return Polynomial._sum_of_products(ctx, [
+        (vi._coerce(entry), vi * vj)
+        for vi, row in zip(vs, matrix.entries)
+        for vj, entry in zip(vs, row)
+    ])

@@ -66,6 +66,18 @@ def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
     # ``ftems``: it cancels each lead exactly.
     dg, df = g._den, f._den
     powers = [1, f._terms[lead_f]]
+    if len(f._terms) == 1:
+        # One pass for a one-term divisor: each term of ``g`` that it
+        # divides moves to the quotient at level 1, every other term to the
+        # remainder.  No heap, and no new monomial.
+        quotient, remainder = {}, {}
+        for m, a in g._terms.items():
+            if (m - lead_f) & borrow:
+                remainder[m] = a
+            else:
+                quotient[m - lead_f] = a * df
+        return DivisionResult(Polynomial._from_ints(ctx, quotient, powers[1] * dg),
+                              Polynomial._from_ints(ctx, remainder, dg))
     ftems = [(m, c) for m, c in f._terms.items() if m != lead_f]
     work = dict(g._terms)
     level = dict.fromkeys(work, 0)

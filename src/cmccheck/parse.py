@@ -114,6 +114,14 @@ class _Parser:
             offset = len(self.src)
         raise ParseError(message, *_position(self.src, offset))
 
+    def literal(self, index: int) -> int:
+        """The decimal literal at token ``index``, raising there if too long."""
+        tok = self.tokens[index]
+        try:
+            return int(tok)
+        except ValueError:
+            self.fail(f"integer literal of {len(tok)} digits is too long", index)
+
     def expr(self) -> Polynomial:
         # Every term goes into one dict over a common denominator, in the
         # order a chain of ``+`` would leave, and a polynomial is built once.
@@ -189,14 +197,14 @@ class _Parser:
         tokens = self.tokens
         while tokens[self.pos] == "^":
             self.pos += 1
-            e = tokens[self.pos]
-            if not e.isdecimal():
+            if not tokens[self.pos].isdecimal():
                 self.fail("exponent must be a non-negative integer literal")
+            e = self.literal(self.pos)
             self.pos += 1
             if type(value) is tuple:
-                value = _term_power(self.ctx, *value, int(e))
+                value = _term_power(self.ctx, *value, e)
             else:
-                value = value ** int(e)
+                value = value**e
         return value
 
     def atom(self) -> _Term:
@@ -205,14 +213,13 @@ class _Parser:
         tok = tokens[at]
         self.pos += 1
         if tok.isdecimal():
-            c = int(tok)
+            c = self.literal(at)
             if tokens[self.pos] != "/":
                 return (0, c, 1)
             self.pos += 1
-            d = tokens[self.pos]
-            if not d.isdecimal():
+            if not tokens[self.pos].isdecimal():
                 self.fail("denominator must be an integer literal")
-            d = int(d)
+            d = self.literal(self.pos)
             if not d:
                 self.fail("denominator must be nonzero")
             self.pos += 1

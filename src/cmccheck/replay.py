@@ -172,16 +172,16 @@ def _product_above(
     a: dict[int, Polynomial], b: dict[int, Polynomial], above: int
 ) -> dict[int, Polynomial]:
     """The parts of degree > ``above`` of ``sum(a) * sum(b)``, for ``a`` and
-    ``b`` mapping degrees to homogeneous parts; a square (``a is b``) forms
-    each cross product once, doubled."""
-    out: dict[int, Polynomial] = {}
+    ``b`` mapping degrees to homogeneous parts, each part one sum of
+    products; a square (``a is b``) forms each cross product once, doubled."""
+    pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
     for i, p in a.items():
         for j, q in b.items():
-            if i + j <= above or (a is b and j < i):
-                continue
-            pq = p * q if a is not b or i == j else p * 2 * q
-            out[i + j] = out[i + j] + pq if i + j in out else pq
-    return out
+            if i + j > above and (a is not b or i <= j):
+                pq = (p, q) if a is not b or i == j else (p * 2, q)
+                pairs.setdefault(i + j, []).append(pq)
+    return {k: Polynomial._sum_of_products(ps[0][0].ctx, ps)
+            for k, ps in pairs.items()}
 
 
 def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
@@ -239,11 +239,11 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
                            "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7"))
 
         current = "defect-valuations"
-        gsq6 = _product_above(gsq4, gparts, 7)
+        ht2 = ht * ht
+        gsq6 = _product_above(gsq4, {k: ht2 * p for k, p in gparts.items()}, 7)
         sign = 1 if mutation == "defect-sign" else -1
         dpart = {
-            k: ht * ht * gsq6.get(k, zero) + d1sq.get(k, zero) * sign
-            for k in range(8, 13)
+            k: gsq6.get(k, zero) + d1sq.get(k, zero) * sign for k in range(8, 13)
         }
         vals = {k: dpart[k].valuation("x1") for k in range(8, 13)}
         bad = [k for k in range(8, 13) if vals[k] < 2 * k - 12]
@@ -252,9 +252,9 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # from the printed pieces of steps 1 and 4 alone:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
         y0 = {f"x{i}": Fraction(0) for i in range(2, n + 1)}
-        axis_cube = (
-            ht * ht * sum(parts, zero).substitute(y0) ** 3
-        ).homogeneous_parts()
+        axis = {k: h.substitute(y0) for k, h in enumerate(parts)}
+        axis_sq = _product_above(axis, axis, 7 - max(axis))
+        axis_cube = _product_above(axis_sq, {k: ht2 * h for k, h in axis.items()}, 7)
         axis_diff = {
             k: dpart[k].substitute(y0) - axis_cube.get(k, zero)
             for k in range(8, 13)
@@ -279,14 +279,14 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # miss is the residual: a remainder, or p9 differing from its value.
         p: dict[int, Polynomial] = {}
         cascade_residual = zero
+        one = Polynomial.one(ctx)
         for k in range(12, 8, -1):
-            dividend = dpart[k]
-            for j, fj in ((2, f2), (1, f1)):
-                if k - j in p:
-                    dividend = dividend - p[k - j] * fj
+            dividend = Polynomial._sum_of_products(ctx, [(dpart[k], one)] + [
+                (p[k - j], -fj) for j, fj in ((2, f2), (1, f1)) if k - j in p
+            ])
             p[k - 3], rem = _exact_quotient(dividend, f3)
             if k == 12 and rem.is_zero:
-                rem = p[9] - ht * ht * x**9 * 729
+                rem = p[9] - ht2 * x**9 * 729
             if cascade_residual.is_zero:
                 cascade_residual = rem
         if cascade_residual.is_zero:
@@ -306,7 +306,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "obstruction"
         f2_at0 = f2.substitute(at0)
-        rhs = -(ht * ht) * spec.yAy**4 * 729
+        rhs = -ht2 * spec.yAy**4 * 729
         residual = p[6].substitute(at0) * f2_at0 - rhs
         steps.append(_step(current, residual,
                            "p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4", witness=rhs))

@@ -27,6 +27,9 @@ Internal layout (known only to this module):
   share no factor; that form is canonical, so equality compares dicts.
   ``Fraction`` is built only where a coefficient leaves through the public
   API (:meth:`Polynomial.terms`, :meth:`Polynomial.coefficient`, ...).
+* **One accumulation loop.**  ``Polynomial._sum_of_products`` adds the term
+  products of a whole sum of products into one dict; ``*`` (past its
+  one-term shift), ``**`` and the package's sums of products all use it.
 
 The public API speaks exponent tuples and ``Fraction``.  It has no ``/``:
 scale by a ``Fraction`` with ``*``, and divide by a polynomial with
@@ -227,20 +230,18 @@ class RingContext:
             for m in monos:
                 self._check_packed(m)
 
-    def _sort_key(self) -> Callable[[int], int]:
-        """Int key whose ascending order is the descending ``self.order``,
-        so sorting on it puts the leading monomial first."""
+    def _sort_key(self) -> Callable[[int], Union[int, tuple]]:
+        """Key whose ascending order is the descending ``self.order``, so
+        sorting on it puts the leading monomial first."""
         if self.order == "lex":
             return _neg
         # Higher total degree first; at equal degree, the smaller exponent
         # vector read from the last variable up (fields reversed) leads.
-        shifts, mask = self._shifts, self._mask
-        rev = shifts[::-1]
-        span = len(shifts) * (mask.bit_length())
+        mask, last_first = self._mask, self._shifts[::-1]
 
-        def key(m: int) -> int:
-            fields = [(m >> s) & mask for s in shifts]
-            return (-sum(fields) << span) + sum(e << s for e, s in zip(fields, rev))
+        def key(m: int) -> tuple[int, tuple[int, ...]]:
+            fields = tuple([(m >> s) & mask for s in last_first])
+            return -sum(fields), fields
 
         return key
 
@@ -532,36 +533,49 @@ class Polynomial:
         ta, tb = self._terms, other._terms
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        # A monomial product is one int addition and a coefficient product
-        # one int multiplication; the denominators multiply once.
         if len(ta) == 1:
             # A one-term operand shifts the other: distinct sums, no zeros.
             [(m1, n1)] = ta.items()
             shifted = {m1 + m: n1 * c for m, c in tb.items()}
             self.ctx._check_all_packed(shifted)
             return Polynomial._from_ints(self.ctx, shifted, self._den * other._den)
-        acc: dict[int, int] = {}
-        get = acc.get
-        inner = list(tb.items())
-        if ta is tb:
-            # A square: each cross product once, doubled.
-            for i, (m1, n1) in enumerate(inner):
-                acc[m1 + m1] = get(m1 + m1, 0) + n1 * n1
-                n1 += n1
-                for m2, n2 in inner[i + 1 :]:
-                    m = m1 + m2
-                    acc[m] = get(m, 0) + n1 * n2
-        else:
-            for m1, n1 in ta.items():
-                for m2, n2 in inner:
-                    m = m1 + m2
-                    acc[m] = get(m, 0) + n1 * n2
-        for m in [m for m, v in acc.items() if not v]:
-            del acc[m]
-        self.ctx._check_all_packed(acc)
-        return Polynomial._from_ints(self.ctx, acc, self._den * other._den)
+        return Polynomial._sum_of_products(self.ctx, ((self, other),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _sum_of_products(ctx: RingContext, pairs: Sequence) -> "Polynomial":
+        """``sum(a * b for a, b in pairs)`` over the lcm of their denominators;
+        a pair ``(p, p)`` forms each cross product once, doubled."""
+        den = math.lcm(*[a._den * b._den for a, b in pairs])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for a, b in pairs:
+            # A monomial product is one int addition and a coefficient
+            # product one int multiplication, scaled to the common ``den``.
+            scale = den // (a._den * b._den)
+            ta, tb = a._terms, b._terms
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            inner = list(tb.items())
+            if ta is tb:
+                for i, (m1, n1) in enumerate(inner):
+                    c1 = n1 * scale
+                    acc[m1 + m1] = get(m1 + m1, 0) + c1 * n1
+                    c1 += c1
+                    for m2, n2 in inner[i + 1 :]:
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + c1 * n2
+            else:
+                for m1, n1 in ta.items():
+                    n1 *= scale
+                    for m2, n2 in inner:
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + n1 * n2
+        for m in [m for m, v in acc.items() if not v]:
+            del acc[m]
+        ctx._check_all_packed(acc)
+        return Polynomial._from_ints(ctx, acc, den)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -618,10 +632,11 @@ class Polynomial:
         if not polys:
             return scaled
         ctx = self.ctx
-        out = Polynomial.zero(ctx)
+        one = Polynomial.one(ctx)
         cache: dict[tuple[int, int], Polynomial] = {}
+        pairs = []
         for mono, coeff in scaled._terms.items():
-            factor = None
+            factor = one
             for i, val in polys.items():
                 e = ctx._field(mono, i)
                 if e:
@@ -630,10 +645,10 @@ class Polynomial:
                     if piece is None:
                         piece = val**e
                         cache[(i, e)] = piece
-                    factor = piece if factor is None else factor * piece
+                    factor = piece if factor is one else factor * piece
             term = Polynomial._from_ints(ctx, {mono: coeff}, scaled._den)
-            out = out + (term if factor is None else term * factor)
-        return out
+            pairs.append((term, factor))
+        return Polynomial._sum_of_products(ctx, pairs)
 
     def _substitute_scalars(self, scalar: Mapping[int, Fraction]) -> "Polynomial":
         # A term that holds a variable bound to 0 vanishes: one mask test

@@ -18,6 +18,8 @@ from oracles import (
     raw,
     raw_add,
     raw_mul,
+    random_coeff,
+    random_monomial,
     random_point,
     random_polynomial,
 )
@@ -205,3 +207,20 @@ def test_divides_known_quotients():
     verdict = divides(x**3, big)
     assert verdict.divisible
     assert verdict.quotient == ht**2 * x**9 * 729
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTXP], ids=["geometric", "parameters"])
+def test_one_term_divisors(ctx):
+    """A one-term divisor takes a single pass over the dividend: each term
+    it divides goes to the quotient, every other term to the remainder."""
+    rng = random.Random(91)
+    for _ in range(150):
+        g = random_polynomial(rng, ctx, max_degree=6, max_terms=9)
+        lead = random_monomial(rng, ctx, 3)
+        f = Polynomial.monomial(ctx, lead, random_coeff(rng, 9, 7))
+        res = divide(g, f)
+        assert res.quotient * f + res.remainder == g
+        for mono in res.remainder.monomials():
+            assert not all(e >= k for e, k in zip(mono, lead))
+        if res.remainder.is_zero:
+            assert divides(f, g).quotient == res.quotient

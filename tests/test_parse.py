@@ -174,6 +174,37 @@ def test_hostile_nesting_exits_2_without_a_traceback(capsys):
     assert "Traceback" not in captured.err
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "src, col",
+    [
+        (NINES + "*x1", 1),
+        ("x1 + 2/" + NINES, 8),
+        ("x1^" + NINES, 4),
+    ],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_overlong_literals_raise_at_the_literal(src, col):
+    """``int`` refuses a literal past 4,300 digits; the parser says where."""
+    with pytest.raises(ParseError) as err:
+        parse("1 +\n" + src)
+    assert (err.value.line, err.value.col) == (2, col)
+    assert str(err.value).endswith("integer literal of 5000 digits is too long")
+    # At the limit the literal still converts.
+    assert parse("9" * 4300) == Polynomial.constant(CTX, int("9" * 4300))
+
+
+def test_overlong_literal_exits_2_without_a_traceback(capsys):
+    code = main(["decompose", "x1^" + NINES, "--vars", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: line 1, col 4: integer literal of 5000 digits is too long\n"
+    )
+
+
 def test_monomial_powers_raise_what_polynomial_powers_raise():
     """A power folded into a term raises the guard and cap errors of
     ``Polynomial.__pow__`` word for word."""

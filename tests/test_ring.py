@@ -23,6 +23,7 @@ from oracles import (
     random_point,
     random_polynomial,
     raw,
+    raw_add,
     raw_evaluate,
     raw_mul,
     raw_pow,
@@ -441,3 +442,54 @@ def test_degrees_beyond_one_exponent_field():
     assert f.homogeneous_part(35) == top
     assert f.high_part(10) == top
     assert f.homogeneous_part(10) == Polynomial.monomial(ctx, (10, 0, 0, 0))
+
+
+def _random_pairs(rng, ctx):
+    """0 to 5 factor pairs: rational operands, zeros, squares of one
+    object, and pairs whose products cancel against an earlier one."""
+    pairs = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(4)
+        a = random_polynomial(rng, ctx, max_degree=3, max_terms=5)
+        b = random_polynomial(rng, ctx, max_degree=3, max_terms=5)
+        if kind == 0:
+            pairs.append((a, b))
+        elif kind == 1:
+            pairs.append((a, a))
+        elif kind == 2:
+            pairs.append(rng.choice([(Polynomial.zero(ctx), b), (a, a * 0)]))
+        else:
+            pairs += [(a, b), (b * Fraction(-1, 2), a * 2)]
+    return pairs
+
+
+def test_sum_of_products_matches_the_raw_reference():
+    rng = random.Random(71)
+    cancelled = 0
+    for ctx in (CTX3, CTXP, LEX3):
+        for _ in range(150):
+            pairs = _random_pairs(rng, ctx)
+            want: dict = {}
+            for a, b in pairs:
+                want = raw_add(want, raw_mul(raw(a), raw(b)))
+            got = Polynomial._sum_of_products(ctx, pairs)
+            assert raw(got) == want
+            # The canonical form: equal to the same sum built term by term.
+            assert got == Polynomial(ctx, want)
+            cancelled += bool(pairs) and not want
+    assert cancelled > 10
+
+
+def test_sum_of_products_past_the_guard_raises_what_mul_raises():
+    tight = RingContext(("x1", "x2"), 2, exponent_guard=10)
+    x1, x2 = var(tight, "x1"), var(tight, "x2")
+    a = x1**6 + x2 * Fraction(1, 3)
+    b = x1**5 * 2 + 1
+    small = x1 + x2
+    for p, q in ((a, b), (b, a), (a, a)):
+        with pytest.raises(ExponentLimitError) as want:
+            p * q
+        for pairs in ([(p, q)], [(small, small), (p, q)], [(p, q), (small, b)]):
+            with pytest.raises(ExponentLimitError) as got:
+                Polynomial._sum_of_products(tight, pairs)
+            assert str(got.value) == str(want.value)

@@ -91,6 +91,32 @@ def test_division_matches_sympy_reduced(ctx):
         assert res.remainder == from_sympy(rem, symbols, ctx)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        RingContext.geometric(3),
+        RingContext.with_parameters(["x1", "x2"], ["a", "b"]),
+    ],
+    ids=["geometric", "parameters"],
+)
+def test_one_term_division_matches_sympy_reduced(ctx):
+    rng = random.Random(67)
+    symbols = sympy.symbols(ctx.variables)
+    for _ in range(30):
+        g = random_polynomial(rng, ctx, max_degree=6, max_terms=9)
+        lead = random_polynomial(rng, ctx, max_degree=3, max_terms=1,
+                                 allow_zero=False)
+        f = lead * Fraction(rng.randint(1, 5), 7)
+        assert len(f) == 1
+        res = divide(g, f)
+        quotients, rem = sympy.reduced(
+            to_sympy(g, symbols), [to_sympy(f, symbols)], *symbols, order="lex"
+        )
+        quotient = quotients[0] if quotients else 0
+        assert res.quotient == from_sympy(quotient, symbols, ctx)
+        assert res.remainder == from_sympy(rem, symbols, ctx)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_replay_witnesses_match_sympy_cascade(n):
     """The cascade of steps 6 and 8, rebuilt in sympy from the normal form.
