@@ -6,8 +6,14 @@ import pytest
 from fractions import Fraction
 
 from cmccheck.calculus import delta1, grad_norm_sq, symbolic_defect
-from cmccheck.cubic import generic_cubic
+from cmccheck.cubic import (
+    SymMatrix,
+    generic_cubic,
+    quad_form_from_matrix,
+    quad_form_to_matrix,
+)
 from cmccheck.divide import divides
+from cmccheck.parse import to_text
 from cmccheck.replay import (
     MUTATIONS,
     expected_delta1_expansion,
@@ -233,3 +239,40 @@ def test_graded_replay_matches_a_full_product_reference(monkeypatch):
             assert graded.overall == reference.overall, (n, mutation)
             assert (graded.delta1_expansion_residual
                     == reference.delta1_expansion_residual), (n, mutation)
+
+
+def _doubled_matrix(q, names):
+    m = quad_form_to_matrix(q, names)
+    return SymMatrix(tuple(tuple(e * 2 for e in row) for row in m.entries))
+
+
+def _halved_form(matrix, names, ctx):
+    return quad_form_from_matrix(matrix, names, ctx) * Fraction(1, 2)
+
+
+# Step 9's record in each of its two fail branches at n = 3, recorded
+# before steps 1 and 6 moved onto ``_step``: an extraction that doubles A
+# rebuilds a form that differs (residual -y'Ay); with a rebuild that halves
+# again, the form matches but the matrix does not, and the residual is
+# y'Ay less the halved rebuild of the true A.
+STEP9_FAILURES = [
+    ({"quad_form_to_matrix": _doubled_matrix},
+     "-x2^2*a_11 - 2*x2*x3*a_12 - x3^2*a_22"),
+    ({"quad_form_to_matrix": _doubled_matrix,
+      "quad_form_from_matrix": _halved_form},
+     "1/2*x2^2*a_11 + x2*x3*a_12 + 1/2*x3^2*a_22"),
+]
+
+
+@pytest.mark.parametrize("patches, residual", STEP9_FAILURES,
+                         ids=["form-differs", "matrix-differs"])
+def test_matrix_extraction_failure_records(monkeypatch, patches, residual):
+    for name, fake in patches.items():
+        monkeypatch.setattr(replay_module, name, fake)
+    report = replay(3)
+    step = report.step("matrix-extraction")
+    record = (step.name, step.status, to_text(step.residual), step.witness,
+              step.detail)
+    assert record == ("matrix-extraction", "fail", residual, None, "")
+    assert [s.passed for s in report.steps] == [True] * 8 + [False]
+    assert report.overall == "fail"
