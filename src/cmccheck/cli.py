@@ -43,7 +43,10 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 def _rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the interpreter's text-to-int limit
+        raise ValueError(f"rational of {len(text)} characters is too long") from None
 
 
 def _at_most(value: int, cap: int, flag: str) -> int:

@@ -33,7 +33,7 @@ import re
 from itertools import islice
 from typing import NoReturn, Optional, Union
 
-from .ring import Polynomial, RingContext, _term_power
+from .ring import Polynomial, RingContext, RingError, _term_power
 
 #: Deepest nesting of parentheses the parser accepts, far below the
 #: interpreter's recursion limit.  Past it, :class:`ParseError` points at
@@ -273,7 +273,13 @@ def to_text(f: Polynomial) -> str:
         factors = []
         if c != den or not m:
             g = math.gcd(c, den)
-            factors.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+            try:
+                factors.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+            except ValueError:  # past the interpreter's int-to-text limit
+                digits = int(math.log10(2) * max(c // g, den // g).bit_length()) + 1
+                raise RingError(
+                    f"a coefficient of about {digits} digits is too long to print"
+                ) from None
         while m:
             shift = m.bit_length() - 1
             shift -= shift % width

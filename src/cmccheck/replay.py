@@ -162,7 +162,8 @@ def _exact_quotient(
 
 def _step(name: str, residual: Polynomial, detail: str,
           witness: Optional[Polynomial] = None) -> ReplayStep:
-    """The record of a step that passes exactly when its residual is zero."""
+    """The record of a step that passes exactly when its residual is zero;
+    step 9, which passes on two comparisons, builds its own record."""
     if residual.is_zero:
         return ReplayStep(name, "pass", witness=witness, detail=detail)
     return ReplayStep(name, "fail", residual, witness, detail)
@@ -211,12 +212,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             # check anyway so a non-homogeneous builder cannot slip through.
             diffs = (gparts.get(k, zero) - parts[k] for k in range(5))
             residual = next(filter(None, diffs), zero)
-        if residual.is_zero:
-            steps.append(
-                ReplayStep(current, "pass", detail="degrees 0..4 match exactly")
-            )
-        else:
-            steps.append(ReplayStep(current, "fail", residual=residual))
+        steps.append(_step(current, residual,
+                           "" if residual else "degrees 0..4 match exactly"))
 
         current = "delta1-congruence"
         d1 = delta1(f)
@@ -289,14 +286,9 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
                 rem = p[9] - ht2 * x**9 * 729
             if cascade_residual.is_zero:
                 cascade_residual = rem
-        if cascade_residual.is_zero:
-            steps.append(
-                ReplayStep(current, "pass", witness=p[9],
-                           detail="p9..p6 extracted exactly; p9 = 729 Ht^2 x^9")
-            )
-        else:
-            steps.append(ReplayStep(current, "fail", residual=cascade_residual,
-                                    witness=p[9]))
+        detail = "p9..p6 extracted exactly; p9 = 729 Ht^2 x^9"
+        steps.append(_step(current, cascade_residual,
+                           "" if cascade_residual else detail, witness=p[9]))
 
         current = "vanish-at-x0"
         at0 = {"x1": Fraction(0)}

@@ -29,7 +29,8 @@ Internal layout (known only to this module):
   API (:meth:`Polynomial.terms`, :meth:`Polynomial.coefficient`, ...).
 * **One accumulation loop.**  ``Polynomial._sum_of_products`` adds the term
   products of a whole sum of products into one dict; ``*`` (past its
-  one-term shift), ``**`` and the package's sums of products all use it.
+  one-term shift), ``**``, ``substitute`` (past the terms that a variable
+  bound to zero drops) and the package's sums of products all use it.
 
 The public API speaks exponent tuples and ``Fraction``.  It has no ``/``:
 scale by a ``Fraction`` with ``*``, and divide by a polynomial with
@@ -618,71 +619,38 @@ class Polynomial:
         polynomial from another context, a sub-context included, raises
         ContextMismatchError.  Unknown variable names are an error.
         """
-        if not bindings:
-            return self
-        scalar: dict[int, Fraction] = {}
+        ctx = self.ctx
+        # A term that holds a variable bound to zero vanishes: one mask test
+        # drops it.  Every other value is a polynomial, each power of it
+        # formed once, and the terms' products go through one kernel call.
+        zeros = 0
         polys: dict[int, Polynomial] = {}
         for name, value in bindings.items():
-            i = self.ctx.index(name)
-            if isinstance(value, Polynomial):
-                polys[i] = self._coerce(value)
+            i = ctx.index(name)
+            if not isinstance(value, Polynomial):
+                value = Polynomial.constant(ctx, value)
+            if self._coerce(value):
+                polys[i] = value
             else:
-                scalar[i] = as_fraction(value)
-        scaled = self._substitute_scalars(scalar) if scalar else self
+                zeros |= ctx._mask << ctx._shifts[i]
+        kept = {m: c for m, c in self._terms.items() if not m & zeros}
         if not polys:
-            return scaled
-        ctx = self.ctx
+            return Polynomial._from_ints(ctx, kept, self._den)
         one = Polynomial.one(ctx)
-        cache: dict[tuple[int, int], Polynomial] = {}
+        powers: dict[tuple[int, int], Polynomial] = {}
         pairs = []
-        for mono, coeff in scaled._terms.items():
+        for mono, coeff in kept.items():
             factor = one
             for i, val in polys.items():
                 e = ctx._field(mono, i)
                 if e:
                     mono -= e << ctx._shifts[i]
-                    piece = cache.get((i, e))
-                    if piece is None:
-                        piece = val**e
-                        cache[(i, e)] = piece
+                    if (i, e) not in powers:
+                        powers[i, e] = val**e
+                    piece = powers[i, e]
                     factor = piece if factor is one else factor * piece
-            term = Polynomial._from_ints(ctx, {mono: coeff}, scaled._den)
-            pairs.append((term, factor))
+            pairs.append((Polynomial._from_ints(ctx, {mono: coeff}, self._den), factor))
         return Polynomial._sum_of_products(ctx, pairs)
-
-    def _substitute_scalars(self, scalar: Mapping[int, Fraction]) -> "Polynomial":
-        # A term that holds a variable bound to 0 vanishes: one mask test
-        # drops it.  The rest go term by term: numerator times prod p**e,
-        # and a denominator factor prod q**e that is then cleared to one
-        # common denominator.
-        ctx = self.ctx
-        zeros = 0
-        bound = []
-        for i, v in scalar.items():
-            if v:
-                bound.append((i, 1 << ctx._shifts[i], v.numerator, v.denominator))
-            else:
-                zeros |= ctx._mask << ctx._shifts[i]
-        rows = []
-        for m, c in self._terms.items():
-            if m & zeros:
-                continue
-            q = 1
-            for i, unit, p, d in bound:
-                e = ctx._field(m, i)
-                if e:
-                    m -= e * unit
-                    c *= p**e
-                    q *= d**e
-            if c:
-                rows.append((m, c, q))
-        common = math.lcm(*(q for _, _, q in rows))
-        acc: dict[int, int] = {}
-        for m, c, q in rows:
-            acc[m] = acc.get(m, 0) + c * (common // q)
-        for m in [m for m, v in acc.items() if not v]:
-            del acc[m]
-        return Polynomial._from_ints(ctx, acc, self._den * common)
 
     # ------------------------------------------------------------------
     # equality, hashing, display

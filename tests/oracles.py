@@ -60,6 +60,20 @@ def raw_pow(a: dict, k: int, nvars: int) -> dict:
     return out
 
 
+def raw_substitute(a: dict, values: dict, nvars: int) -> dict:
+    """``a`` with variable ``i`` replaced by the raw dict ``values[i]`` for
+    every bound ``i``, all at once: each term's unbound part times the
+    bound values raised to its exponents."""
+    out: dict = {}
+    for m, c in a.items():
+        rest = tuple(0 if i in values else e for i, e in enumerate(m))
+        term = {rest: c}
+        for i, value in values.items():
+            term = raw_mul(term, raw_pow(value, m[i], nvars))
+        out = raw_add(out, term)
+    return out
+
+
 def raw_partial(a: dict, i: int) -> dict:
     out = {}
     for m, c in a.items():

@@ -84,6 +84,31 @@ def test_rationals_are_strict(capsys):
     assert "hsq: 1/4\n" in out
 
 
+NINES_3000 = "9" * 3000
+ONES_5000 = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", f"({NINES_3000}*x1)^2", "--vars", "1"],
+     "a coefficient of about 6001 digits is too long to print"),
+    (["check", "x1^2+x2^2-1", "--vars", "2", "--hsq", ONES_5000],
+     "rational of 5000 characters is too long"),
+    (["surface", "sphere", "--n", "3", "--rsq", ONES_5000],
+     "rational of 5000 characters is too long"),
+    (["surface", "sphere", "--n", "3", "--rsq", f"1/{ONES_5000}"],
+     "rational of 5002 characters is too long"),
+], ids=["printed-coefficient", "hsq", "rsq", "rsq-denominator"])
+def test_integers_past_the_text_limit_exit_2_with_context(capsys, argv, message):
+    """An integer past Python's 4,300-digit limit on int/str conversion, in
+    a result or in a rational argument, ends with one line of our own: no
+    traceback, no advice to raise the interpreter's limit and no echo of the
+    value."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
 def test_check_rejects_bad_polynomial_with_position(capsys):
     code, _, err = run(capsys, "check", "x1 + + x2", "--vars", "3", "--hsq", "1")
     assert code == 2

@@ -27,6 +27,7 @@ from oracles import (
     raw_evaluate,
     raw_mul,
     raw_pow,
+    raw_substitute,
     raw_to_text,
 )
 
@@ -300,9 +301,10 @@ def test_substitute_agrees_with_evaluate():
 
 
 def test_zero_scalars_agree_with_constant_polynomial_values():
-    """Scalars bound to 0 drop whole terms by a mask test; the same values
-    bound as constant polynomials go term by term through the polynomial
-    path, so the two must agree."""
+    """A rational and the same value bound as a constant polynomial take
+    one path: a zero of either kind drops whole terms by a mask test, and
+    any other value is a constant polynomial in the kernel.  The two must
+    agree."""
     rng = random.Random(31)
     for ctx in (CTX3, CTXP, LEX3):
         for _ in range(60):
@@ -316,6 +318,34 @@ def test_zero_scalars_agree_with_constant_polynomial_values():
         zeros = {name: 0 for name in ctx.variables}
         constant = f.coefficient((0,) * ctx.nvars)
         assert f.substitute(zeros) == Polynomial.constant(ctx, constant)
+
+
+def test_substitute_matches_a_raw_reference():
+    """Mixed bindings (0, nonzero rationals, the zero polynomial, constant
+    polynomials and polynomials that mention bound variables, so the
+    replacement must be simultaneous) against ``raw_substitute``."""
+    rng = random.Random(47)
+    for ctx in (CTX3, CTXP, LEX3):
+        zero = Polynomial.zero(ctx)
+        for _ in range(60):
+            f = random_polynomial(rng, ctx, max_degree=4, max_terms=6)
+            bindings = {}
+            for name in rng.sample(ctx.variables, rng.randint(1, ctx.nvars)):
+                bindings[name] = rng.choice([
+                    0,
+                    random_coeff(rng),
+                    zero,
+                    Polynomial.constant(ctx, random_coeff(rng)),
+                    random_polynomial(rng, ctx, max_degree=2, max_terms=3)
+                    + var(ctx, rng.choice(sorted(bindings) or [name])),
+                ])
+            values = {
+                ctx.index(name): raw(v) if isinstance(v, Polynomial)
+                else raw(Polynomial.constant(ctx, v))
+                for name, v in bindings.items()
+            }
+            expected = raw_substitute(raw(f), values, ctx.nvars)
+            assert raw(f.substitute(bindings)) == expected
 
 
 def test_exponent_guard():
