@@ -42,7 +42,6 @@ x-axis identity catches it with residual ``2592 trace(A)^2 x^8``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .calculus import delta1, dot, grad_norm_sq
@@ -248,7 +247,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # On the x-axis (y = 0) each part must equal the closed form built
         # from the printed pieces of steps 1 and 4 alone:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
-        y0 = {f"x{i}": Fraction(0) for i in range(2, n + 1)}
+        y0 = {f"x{i}": 0 for i in range(2, n + 1)}
         axis = {k: h.substitute(y0) for k, h in enumerate(parts)}
         axis_sq = _product_above(axis, axis, 7 - max(axis))
         axis_cube = _product_above(axis_sq, {k: ht2 * h for k, h in axis.items()}, 7)
@@ -291,7 +290,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
                            "" if cascade_residual else detail, witness=p[9]))
 
         current = "vanish-at-x0"
-        at0 = {"x1": Fraction(0)}
+        at0 = {"x1": 0}
         residual = p[7].substitute(at0) or dpart[8].substitute(at0)
         steps.append(_step(current, residual,
                            "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0"))

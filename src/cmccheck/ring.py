@@ -637,7 +637,7 @@ class Polynomial:
         if not polys:
             return Polynomial._from_ints(ctx, kept, self._den)
         one = Polynomial.one(ctx)
-        powers: dict[tuple[int, int], Polynomial] = {}
+        cache: dict[tuple[int, int], Polynomial] = {}
         pairs = []
         for mono, coeff in kept.items():
             factor = one
@@ -645,11 +645,13 @@ class Polynomial:
                 e = ctx._field(mono, i)
                 if e:
                     mono -= e << ctx._shifts[i]
-                    if (i, e) not in powers:
-                        powers[i, e] = val**e
-                    piece = powers[i, e]
+                    piece = cache.get((i, e))
+                    if piece is None:
+                        piece = val**e
+                        cache[(i, e)] = piece
                     factor = piece if factor is one else factor * piece
-            pairs.append((Polynomial._from_ints(ctx, {mono: coeff}, self._den), factor))
+            term = Polynomial._from_ints(ctx, {mono: coeff}, self._den)
+            pairs.append((term, factor))
         return Polynomial._sum_of_products(ctx, pairs)
 
     # ------------------------------------------------------------------
