@@ -341,7 +341,7 @@ def test_substitute_matches_a_raw_reference():
                 ])
             values = {
                 ctx.index(name): raw(v) if isinstance(v, Polynomial)
-                else raw(Polynomial.constant(ctx, v))
+                else {(0,) * ctx.nvars: Fraction(v)} if v else {}
                 for name, v in bindings.items()
             }
             expected = raw_substitute(raw(f), values, ctx.nvars)
