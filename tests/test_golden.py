@@ -113,12 +113,13 @@ def test_golden_parse_errors(entry):
 
 # The sha256 of ``replay --n N --json`` standard output for N past the
 # golden replay records above, recorded before the multiply-accumulate
-# kernel replaced the product loops; a faster kernel must print the same
-# bytes.
+# kernel replaced the product loops (N = 8 before the replay formed its
+# degree-8 defect in x1-slices); a faster replay must print the same bytes.
 REPLAY_SHA256 = {
     5: "66d59b874d02f08b0a835aac47de293ee8ab23c30e386f8f628a4da5498874aa",
     6: "efa769753cbcb838f5c8447ec7ed99118c0612894690a6bd58942841fd96cedf",
     7: "4c1ed584da7a4be69585a2e7fb4f3cfb5888388d1154d8836c3562e7b68cf138",
+    8: "290eea3a3cd3ecff643204fce8c1bdf42e964374e68ae2cd14b2d94dde005e78",
 }
 
 
