@@ -42,7 +42,8 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 def _rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not an exact rational: {text!r}")
+        shown = f"{text[:20]!r}... ({len(text)} characters)" if len(text) > 40 else repr(text)
+        raise ValueError(f"not an exact rational: {shown}")
     try:
         return Fraction(text)
     except ValueError:  # past the interpreter's text-to-int limit

@@ -109,6 +109,18 @@ def test_integers_past_the_text_limit_exit_2_with_context(capsys, argv, message)
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "x1", "--vars", "1", "--hsq"],
+    ["defect", "x1", "--vars", "1", "--hsq"],
+    ["surface", "sphere", "--n", "3", "--rsq"],
+], ids=["check", "defect", "surface"])
+def test_long_non_rational_is_echoed_by_its_start_and_length(capsys, argv):
+    code, out, err = run(capsys, *argv, f"{ONES_5000}x")
+    assert (code, out) == (2, "")
+    assert err == f"error: not an exact rational: '{'1' * 20}'... (5001 characters)\n"
+    assert len(err.encode()) < 200
+
+
 def test_check_rejects_bad_polynomial_with_position(capsys):
     code, _, err = run(capsys, "check", "x1 + + x2", "--vars", "3", "--hsq", "1")
     assert code == 2
