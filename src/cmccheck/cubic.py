@@ -66,6 +66,10 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     Returns the polynomial and its spec of names and atoms.  The context
     has geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by
     the parameters a_ij (i <= j), r_i, s_i, k0, k1 and Ht, under lex order.
+    Its exponent guard is 12, the largest exponent the replay forms (x^12
+    in the degree-12 defect part; no parameter passes exponent 6), so a
+    packed field is 5 bits wide, not 17; at a guard of 11 the replay stops
+    in its step 5.
     """
     if n < 3:
         raise RingError("generic cubic needs dimension n >= 3")
@@ -73,9 +77,10 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     a_names = [matrix_entry_name(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
     r_names = [f"r_{i}" for i in range(1, m + 1)]
     s_names = [f"s_{i}" for i in range(1, m + 1)]
-    ctx = RingContext.with_parameters(
-        [f"x{i}" for i in range(1, n + 1)],
-        a_names + r_names + s_names + ["k0", "k1", "Ht"],
+    ctx = RingContext(
+        tuple(f"x{i}" for i in range(1, n + 1))
+        + tuple(a_names + r_names + s_names + ["k0", "k1", "Ht"]),
+        n, "lex", exponent_guard=12,
     )
     matrix_names = tuple(
         tuple(matrix_entry_name(i, j) for j in range(1, m + 1))

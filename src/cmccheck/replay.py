@@ -27,9 +27,19 @@ where the chain first breaks.  The printed closed-form expansion of
 transcription fidelity note outside the pass/fail chain: the chain itself
 only ever uses the congruence of step 2.
 
-Steps 3 to 5 read only degrees above 7, so they build only those: they
-multiply homogeneous parts of ``|grad f|^2`` and ``delta1 f`` whose degrees
-add up past 7, and the defect exists only as its parts of degree 8 to 12.
+Each polynomial is built only as far as a step reads it.  Steps 3 to 5
+multiply pieces of ``|grad f|^2`` and ``delta1 f``, keyed by degree and
+x1-degree, only where the degrees add up past 7.  Of the defect's degree-8
+part, steps 5 and 7 read the x1-valuation (bound 4) and the restrictions
+to x = 0 and y = 0, its x1-slices 0 and 8; so only slices 0 to 4 and 8 are
+formed.  Unless slice 4 is the first nonzero one, as on the pass path, the
+whole part is formed, so a failing record keeps its residual.
+
+Step 8 first checks ``f2(0,y) = y'Ay``.  Then ``p6(0,y) f2(0,y) + 729 Ht^2
+(y'Ay)^4 = (p6(0,y) + 729 Ht^2 (y'Ay)^3) y'Ay`` with ``y'Ay != 0``, and the
+coefficients form an integral domain, so step 8's identity holds exactly
+when ``p6(0,y) = -729 Ht^2 (y'Ay)^3``; on a miss the step forms the product
+for its residual.
 
 The two supported mutations are deliberate corruptions used as negative
 controls: ``"cubic-part"`` replaces the leading ``x^3`` by ``x^2 y_1``,
@@ -42,7 +52,7 @@ x-axis identity catches it with residual ``2592 trace(A)^2 x^8``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .calculus import delta1, dot, grad_norm_sq
 from .cubic import (
@@ -91,10 +101,6 @@ class ReplayReport:
         raise KeyError(name)
 
 
-def _mat_vec(spec: GenericCubicSpec, v: Sequence[Polynomial]) -> list[Polynomial]:
-    return [dot(row, v) for row in spec.A]
-
-
 def _expected_parts(spec: GenericCubicSpec) -> list[Polynomial]:
     x, k0, k1, r, s, Ay = spec.x, spec.k0, spec.k1, spec.r, spec.s, spec.Ay
     r_dot_y = dot(r, spec.y)
@@ -117,36 +123,33 @@ def _expected_parts(spec: GenericCubicSpec) -> list[Polynomial]:
     return [h0, h1, h2, h3, h4]
 
 
-def _expected_delta1(spec: GenericCubicSpec, gradsq: Polynomial) -> Polynomial:
-    """The printed closed-form expansion of delta1 on the generic cubic."""
+def _expected_delta1_rest(spec: GenericCubicSpec) -> Polynomial:
+    """The printed closed-form expansion of delta1 on the generic cubic,
+    less its leading ``4 trace(A) |grad f|^2``, as one sum of products."""
     x, k0, k1, r, s, y = spec.x, spec.k0, spec.k1, spec.r, spec.s, spec.y
-    r_dot_y = dot(r, y)
-    Ay = spec.Ay
-    A2y = _mat_vec(spec, Ay)
-    A3y = _mat_vec(spec, A2y)
-    Ar = _mat_vec(spec, r)
-    As = _mat_vec(spec, s)
-    three_x = x * 3
-    return (
-        gradsq * spec.trace * 4
-        + (k0 + three_x) * (dot(s, Ay) + dot(Ay, Ay)) * 16
-        - dot(r, Ay) * (k1 + r_dot_y - x**2 * 3) * 8
-        - x * dot(s, Ar) * 8
-        - x**2 * dot(r, Ar) * 4
-        - x * dot(r, A2y) * 16
-        - dot(s, A2y) * 16
-        - dot(s, As) * 4
-        - dot(y, A3y) * 16
-        - x * (k0 * x + k1 + r_dot_y) * dot(r, r) * 4
-        + (k0 + three_x) * dot(s, s) * 4
-        - dot(r, s) * (k1 + r_dot_y - x**2 * 3) * 4
-    )
+    r_dot_y, Ay = dot(r, y), spec.Ay
+    A2y, Ar, As = ([dot(row, v) for row in spec.A] for v in (Ay, r, s))
+    A3y = [dot(row, A2y) for row in spec.A]
+    lin = k0 + x * 3
+    quad = k1 + r_dot_y - x**2 * 3
+    return Polynomial._sum_of_products(x.ctx, [
+        (lin * 16, dot(s, Ay) + dot(Ay, Ay)),
+        (quad * -8, dot(r, Ay)),
+        (x * -8, dot(s, Ar)),
+        (x**2 * -4, dot(r, Ar)),
+        (x * -16, dot(r, A2y)),
+        (Polynomial.constant(x.ctx, -4),
+         dot(s, A2y) * 4 + dot(s, As) + dot(y, A3y) * 4),
+        (x * (k0 * x + k1 + r_dot_y) * -4, dot(r, r)),
+        (lin * 4, dot(s, s)),
+        (quad * -4, dot(r, s)),
+    ])
 
 
 def expected_delta1_expansion(n: int) -> Polynomial:
     """The printed closed-form expansion of delta1(f) for dimension n."""
     f, spec = generic_cubic(n)
-    return _expected_delta1(spec, grad_norm_sq(f))
+    return grad_norm_sq(f) * spec.trace * 4 + _expected_delta1_rest(spec)
 
 
 def _exact_quotient(
@@ -168,20 +171,36 @@ def _step(name: str, residual: Polynomial, detail: str,
     return ReplayStep(name, "fail", residual, witness, detail)
 
 
-def _product_above(
-    a: dict[int, Polynomial], b: dict[int, Polynomial], above: int
-) -> dict[int, Polynomial]:
-    """The parts of degree > ``above`` of ``sum(a) * sum(b)``, for ``a`` and
-    ``b`` mapping degrees to homogeneous parts, each part one sum of
-    products; a square (``a is b``) forms each cross product once, doubled."""
-    pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
-    for i, p in a.items():
-        for j, q in b.items():
-            if i + j > above and (a is not b or i <= j):
-                pq = (p, q) if a is not b or i == j else (p * 2, q)
-                pairs.setdefault(i + j, []).append(pq)
+def _pieces(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
+    """``f`` split into its pieces keyed (degree, x1-degree)."""
+    split: dict[tuple[int, int], dict[int, int]] = {}
+    for (m, c), k in zip(f._terms.items(), f.ctx._degrees(f._terms)):
+        split.setdefault((k, f.ctx._field(m, 0)), {})[m] = c
+    return {key: Polynomial._from_ints(f.ctx, t, f._den) for key, t in split.items()}
+
+
+def _product(factors: Sequence[tuple[dict, dict]],
+             key: Callable[[int, int], Hashable]) -> dict:
+    """``sum(sum(a) * sum(b) for a, b in factors)``, grouped by the
+    ``key(degree, x1-degree)`` of each product of two pieces and without
+    the products keyed ``None``; each group is one sum of products, and a
+    square (``a is b``) forms each cross product once, doubled."""
+    pairs: dict = {}
+    for a, b in factors:
+        for (i, s), p in a.items():
+            for (j, t), q in b.items():
+                k = key(i + j, s + t)
+                if k is not None and (a is not b or (i, s) <= (j, t)):
+                    pq = (p, q) if a is not b or (i, s) == (j, t) else (p * 2, q)
+                    pairs.setdefault(k, []).append(pq)
     return {k: Polynomial._sum_of_products(ps[0][0].ctx, ps)
             for k, ps in pairs.items()}
+
+
+def _defect_key(k: int, e: int) -> Optional[int]:
+    """The degree of each defect piece that steps 5 to 7 read: every piece
+    of degree 9 to 12, and the x1-slices 0 to 4 and 8 of degree 8."""
+    return k if k > 8 or k == 8 and (e <= 4 or e == 8) else None
 
 
 def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
@@ -216,31 +235,36 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "delta1-congruence"
         d1 = delta1(f)
-        residual = (d1 - trace * gradsq * 4).high_part(3)
-        steps.append(_step(current, residual,
+        d1_rest = d1 - trace * gradsq * 4
+        steps.append(_step(current, d1_rest.high_part(3),
                            "delta1 = 4 trace(A) |grad f|^2 above degree 3"))
 
         # Steps 3 to 5 read only degrees above 7 (see the module docstring);
-        # |grad f|^4 keeps the parts whose product with |grad f|^2 gets there.
+        # |grad f|^4 keeps the pieces whose product with |grad f|^2 gets there.
         current = "gradsq-square"
-        gsq4 = _product_above(gparts, gparts, 7 - max(gparts, default=0))
-        residual = sum((p for k, p in gsq4.items() if k > 7), zero) - x**8 * 81
+        low = 7 - max(gparts, default=0)
+        gpieces = _pieces(gradsq)
+        gsq4 = _product([(gpieces, gpieces)], lambda k, e: (k, e) if k > low else None)
+        residual = sum((p for (k, _), p in gsq4.items() if k > 7), zero) - x**8 * 81
         steps.append(_step(current, residual, "|grad f|^4 = 81 x^8 above degree 7"))
 
         current = "delta1-square"
-        d1parts = d1.homogeneous_parts()
-        d1sq = _product_above(d1parts, d1parts, 7)
+        d1pieces = _pieces(d1)
+        d1sq = _product([(d1pieces, d1pieces)], lambda k, e: (k, e) if k > 7 else None)
         residual = sum(d1sq.values(), zero) - trace**2 * x**8 * 1296
         steps.append(_step(current, residual,
                            "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7"))
 
         current = "defect-valuations"
         ht2 = ht * ht
-        gsq6 = _product_above(gsq4, {k: ht2 * p for k, p in gparts.items()}, 7)
-        sign = 1 if mutation == "defect-sign" else -1
-        dpart = {
-            k: gsq6.get(k, zero) + d1sq.get(k, zero) * sign for k in range(8, 13)
-        }
+        sign = Polynomial.constant(ctx, 1 if mutation == "defect-sign" else -1)
+        factors = [(gsq4, {key: ht2 * p for key, p in gpieces.items()}),
+                   (d1sq, {(0, 0): sign})]
+        dpart = _product(factors, _defect_key)
+        # Slices that leave the valuation open: form the whole degree-8 part.
+        if dpart.get(8, zero).valuation("x1") != 4:
+            dpart.update(_product(factors, lambda k, e: k if k == 8 else None))
+        dpart = {k: dpart.get(k, zero) for k in range(8, 13)}
         vals = {k: dpart[k].valuation("x1") for k in range(8, 13)}
         bad = [k for k in range(8, 13) if vals[k] < 2 * k - 12]
         detail = ", ".join(f"deg {k}: val {vals[k]} (need {2*k-12})" for k in range(8, 13))
@@ -248,9 +272,10 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # from the printed pieces of steps 1 and 4 alone:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
         y0 = {f"x{i}": 0 for i in range(2, n + 1)}
-        axis = {k: h.substitute(y0) for k, h in enumerate(parts)}
-        axis_sq = _product_above(axis, axis, 7 - max(axis))
-        axis_cube = _product_above(axis_sq, {k: ht2 * h for k, h in axis.items()}, 7)
+        axis = {(k, k): h.substitute(y0) for k, h in enumerate(parts)}
+        axis_sq = _product([(axis, axis)], lambda k, e: (k, e) if k > 3 else None)
+        axis_cube = _product([(axis_sq, {key: ht2 * h for key, h in axis.items()})],
+                             lambda k, e: k if k > 7 else None)
         axis_diff = {
             k: dpart[k].substitute(y0) - axis_cube.get(k, zero)
             for k in range(8, 13)
@@ -296,9 +321,13 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
                            "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0"))
 
         current = "obstruction"
-        f2_at0 = f2.substitute(at0)
-        rhs = -ht2 * spec.yAy**4 * 729
-        residual = p[6].substitute(at0) * f2_at0 - rhs
+        f2_at0, p6_at0 = f2.substitute(at0), p[6].substitute(at0)
+        yAy, scale = spec.yAy, ht2 * -729
+        yAy2 = yAy * yAy
+        rhs = yAy2 * yAy2 * scale
+        # Cancel the factor f2(0, y) = y'Ay (see the module docstring).
+        cancels = f2_at0 == yAy and p6_at0 == yAy2 * (yAy * scale)
+        residual = zero if cancels else p6_at0 * f2_at0 - rhs
         steps.append(_step(current, residual,
                            "p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4", witness=rhs))
 
@@ -323,7 +352,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # a mismatch is recorded out of band and never fails the chain,
         # which relies solely on the step-2 congruence.
         current = "delta1-expansion"
-        expansion_residual = d1 - _expected_delta1(spec, gradsq)
+        expansion_residual = d1_rest - _expected_delta1_rest(spec)
         report.delta1_expansion_matches = expansion_residual.is_zero
         report.delta1_expansion_residual = expansion_residual or None
     except ExponentLimitError as exc:

@@ -88,6 +88,11 @@ def test_generic_cubic_spec_carries_its_quadratic_pieces():
         assert f.homogeneous_part(2).substitute({"x1": Fraction(0)}) == spec.yAy
 
 
+def test_generic_cubic_guard_is_the_largest_exponent_of_the_replay():
+    for n in (3, 5, 10):
+        assert generic_cubic(n)[0].ctx.exponent_guard == 12
+
+
 def test_generic_cubic_rejects_small_dimension():
     with pytest.raises(RingError):
         generic_cubic(2)

@@ -5,6 +5,7 @@ import re
 import pytest
 from fractions import Fraction
 
+import cmccheck.cubic as cubic_module
 from cmccheck.calculus import delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cubic import (
     SymMatrix,
@@ -19,7 +20,9 @@ from cmccheck.replay import (
     expected_delta1_expansion,
     replay,
 )
-from cmccheck.ring import Polynomial, RingError
+from cmccheck.ring import (
+    ExponentLimitError, Polynomial, RingContext, RingError,
+)
 
 STEP_NAMES = [
     "gradsq-parts",
@@ -188,24 +191,38 @@ def test_replay_reports_are_self_contained():
 replay_module = importlib.import_module("cmccheck.replay")
 
 
+def _x_filter(poly, keep):
+    """The terms of ``poly`` whose x1-degree passes ``keep``."""
+    return Polynomial(poly.ctx, {m: c for m, c in poly.terms() if keep(m[0])})
+
+
+def _by_degree_above(d):
+    return lambda k, e: k if k > d else None
+
+
 def test_graded_defect_parts_equal_the_full_defect():
     """Steps 3 to 5 form |grad f|^4 above degree 3, |grad f|^6 and
-    (delta1 f)^2 above degree 7, from homogeneous parts only; their parts
-    must equal those of the fully multiplied products."""
-    product_above = replay_module._product_above
+    (delta1 f)^2 above degree 7, from pieces keyed by degree and x1-degree;
+    formed whole, their parts must equal those of the full products."""
+    pieces, product = replay_module._pieces, replay_module._product
     for n in (3, 4):
         f, spec = generic_cubic(n)
         ht = Polynomial.variable(f.ctx, spec.curvature_name)
         zero = Polynomial.zero(f.ctx)
         gradsq, d1 = grad_norm_sq(f), delta1(f)
-        gparts, d1parts = gradsq.homogeneous_parts(), d1.homogeneous_parts()
-        gsq4 = product_above(gparts, gparts, 3)
-        gsq6 = product_above(gsq4, gparts, 7)
-        d1sq = product_above(d1parts, d1parts, 7)
+        gp, dp = pieces(gradsq), pieces(d1)
+        for whole, split in ((gradsq, gp), (d1, dp)):
+            assert split and all(not q.is_zero for q in split.values()), n
+            for (k, e), q in split.items():
+                assert q == _x_filter(whole.homogeneous_part(k), e.__eq__), (n, k, e)
+            assert sum(split.values(), zero) == whole, n
+        gsq4 = product([(gp, gp)], lambda k, e: (k, e) if k > 3 else None)
+        gsq6 = product([(gsq4, gp)], _by_degree_above(7))
+        d1sq = product([(dp, dp)], _by_degree_above(7))
         full_gsq4 = gradsq * gradsq
-        assert sorted(gsq4) == list(range(4, 9)), n
-        for k in range(4, 9):
-            assert gsq4[k] == full_gsq4.homogeneous_part(k), (n, k)
+        assert sorted({k for k, _ in gsq4}) == list(range(4, 9)), n
+        for (k, e), q in gsq4.items():
+            assert q == _x_filter(full_gsq4.homogeneous_part(k), e.__eq__), (n, k, e)
         assert sum(d1sq.values(), zero) == (d1 * d1).high_part(7), n
         defect = symbolic_defect(f, spec.curvature_name)
         for k in range(8, 13):
@@ -214,31 +231,98 @@ def test_graded_defect_parts_equal_the_full_defect():
         assert defect.high_part(12).is_zero, n
 
 
-def _full_product_above(a, b, above):
-    """Reference for ``_product_above``: multiply the whole sums, then keep
-    the parts above ``above``."""
-    polys = list(a.values()) + list(b.values())
-    if not polys:
-        return {}
-    zero = Polynomial.zero(polys[0].ctx)
-    full = sum(a.values(), zero) * sum(b.values(), zero)
-    top = int(full.total_degree()) if not full.is_zero else above
-    parts = {k: full.homogeneous_part(k) for k in range(above + 1, top + 1)}
-    return {k: p for k, p in parts.items() if not p.is_zero}
+def test_degree8_slices_are_the_x_degree_filter_of_the_defect(monkeypatch):
+    """Step 5 first forms the defect's degree-8 part only in its x1-slices
+    0 to 4 and 8, and its parts of degree 9 to 12 whole.  On the pass path
+    slices 0 to 3 are empty; "cubic-part" fills slices 2 and 3 (and then
+    step 5 forms the part whole), and a dense square fills every slice."""
+    real = replay_module._product
+    kept = (0, 1, 2, 3, 4, 8).__contains__
+    cases = [(n, None) for n in (3, 4, 5)] + [(n, "cubic-part") for n in (3, 4)]
+    for n, mutation in cases:
+        formed = []
+
+        def spy(factors, key):
+            out = real(factors, key)
+            if key is replay_module._defect_key:
+                formed.append(dict(out))  # step 5 may update ``out``
+            return out
+
+        monkeypatch.setattr(replay_module, "_product", spy)
+        assert replay(n, mutation).passed == (mutation is None), n
+        [dpart] = formed
+        f, spec = generic_cubic(n)
+        if mutation:
+            f = f - spec.x**3 + spec.x**2 * spec.y[0]
+        parts = symbolic_defect(f, spec.curvature_name).homogeneous_parts()
+        assert dpart[8] == _x_filter(parts[8], kept), (n, mutation)
+        # The dropped slices are not empty.
+        assert not _x_filter(parts[8], lambda e: not kept(e)).is_zero, n
+        assert dpart[8].valuation("x1") == (2 if mutation else 4), (n, mutation)
+        assert max(parts) == 12, n
+        for k in range(9, 13):
+            assert dpart[k] == parts[k], (n, mutation, k)
+    f, _ = generic_cubic(3)
+    g = (Polynomial.variable(f.ctx, "x1") + Polynomial.variable(f.ctx, "x2") + 1)**4
+    pieces = replay_module._pieces(g)
+    part8 = (g * g).homogeneous_part(8)
+    assert {m[0] for m in part8.monomials()} == set(range(9))
+    assert real([(pieces, pieces)], replay_module._defect_key) == {
+        8: _x_filter(part8, kept)}
+
+
+def _full_product(factors, key):
+    """Reference for ``_product``: multiply the whole sums, then group the
+    terms by the ``key`` of their degree and x1-degree."""
+    ctx = next(iter(factors[0][0].values())).ctx
+    zero = Polynomial.zero(ctx)
+    full = sum((sum(a.values(), zero) * sum(b.values(), zero)
+                for a, b in factors), zero)
+    groups = {}
+    for mono, c in full.terms():
+        k = key(sum(mono[:ctx.geometric_count]), mono[0])
+        if k is not None:
+            groups.setdefault(k, {})[mono] = c
+    return {k: Polynomial(ctx, terms) for k, terms in groups.items()}
+
+
+# The path each mutation takes through step 5 at n = 3 and 4, read from its
+# detail: the pass path and "defect-sign" slice the degree-8 part (the flip
+# then fails the x-axis identity at degree 8); "cubic-part" leaves its
+# valuation at 2, so the degree-8 part is formed whole.
+STEP5_PATHS = {
+    None: "deg 8: val 4 (need 4)",
+    "cubic-part": "deg 8: val 2 (need 4)",
+    "defect-sign": "x-axis identity fails at deg 8",
+}
 
 
 def test_graded_replay_matches_a_full_product_reference(monkeypatch):
     # ReplayStep equality compares name, status, residual, witness, detail.
+    # The reference multiplies whole sums and forms the degree-8 part whole.
     for n in (3, 4):
-        for mutation in (None, "cubic-part", "defect-sign"):
+        for mutation, path in STEP5_PATHS.items():
             graded = replay(n, mutation)
+            assert path in graded.step("defect-valuations").detail, (n, mutation)
             with monkeypatch.context() as m:
-                m.setattr(replay_module, "_product_above", _full_product_above)
+                m.setattr(replay_module, "_product", _full_product)
+                m.setattr(replay_module, "_defect_key", _by_degree_above(7))
                 reference = replay(n, mutation)
             assert graded.steps == reference.steps, (n, mutation)
             assert graded.overall == reference.overall, (n, mutation)
             assert (graded.delta1_expansion_residual
                     == reference.delta1_expansion_residual), (n, mutation)
+
+
+def test_replay_stops_at_step_5_below_the_generic_cubic_guard(monkeypatch):
+    # x^12 at degree 12 is the largest exponent the chain forms.
+    def guard_11(*args, **kwargs):
+        return RingContext(*args, **{**kwargs, "exponent_guard": 11})
+
+    monkeypatch.setattr(cubic_module, "RingContext", guard_11)
+    with pytest.raises(ExponentLimitError, match=r"^step defect-valuations: "
+                       r"exponent 12 exceeds guard 11$"):
+        replay(3)
 
 
 def _doubled_matrix(q, names):
