@@ -172,7 +172,8 @@ def _step(name: str, residual: Polynomial, detail: str,
 
 
 def _pieces(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
-    """``f`` split into its pieces keyed (degree, x1-degree)."""
+    """``f`` split into its pieces keyed (degree, x1-degree), read from its
+    packed terms through the context's field helpers."""
     split: dict[tuple[int, int], dict[int, int]] = {}
     for (m, c), k in zip(f._terms.items(), f.ctx._degrees(f._terms)):
         split.setdefault((k, f.ctx._field(m, 0)), {})[m] = c
