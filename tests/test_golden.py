@@ -128,3 +128,24 @@ def test_replay_json_bytes_at_larger_n(n, capsys):
     assert main(["replay", "--n", str(n), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_SHA256[n]
+
+
+# The sha256 of ``json.dumps(replay_record(n, mutation), sort_keys=True)``
+# for failing replays past ``golden_replay.json``: "cubic-part" reaches
+# step 5's whole-part fallback and "defect-sign" its sliced x-axis failure.
+# Recorded before step 5 read its valuations and restrictions off the
+# (degree, x1-degree) keys of its pieces.
+MUTATION_SHA256 = {
+    ("cubic-part", 4): "872a0ec080821de97a434ebb543ab57f93bfa73acc431bb223010358ed89ba99",
+    ("cubic-part", 5): "21b87b55c5db5720f00e98493b6ee08fc99828cb30a79c51a773232b0db71b24",
+    ("cubic-part", 6): "a14f4e0f6ebe1775dce33d1042c2c0956d4691973c74106151cfb88448cd3cd2",
+    ("defect-sign", 5): "72600c647036cb22ad3ceb8be798a58b8b82da04ad3a64e63b183642f25112ab",
+    ("defect-sign", 6): "fd720876a28c6bd555ad529c103699a2316d895c7174d8a2d35145b45b56a030",
+}
+
+
+@pytest.mark.parametrize("mutation, n", sorted(MUTATION_SHA256),
+                         ids=[f"{m}-n={n}" for m, n in sorted(MUTATION_SHA256)])
+def test_failing_replay_records_at_larger_n(mutation, n):
+    text = json.dumps(replay_record(n, mutation), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MUTATION_SHA256[mutation, n]
