@@ -62,6 +62,13 @@ def _context(nvars: int) -> RingContext:
     return RingContext.geometric(_at_most(nvars, MAX_VARS, "--vars"))
 
 
+def _polynomial(args: argparse.Namespace) -> tuple[Polynomial, dict]:
+    """The command's polynomial over ``--vars`` variables, and the inputs it
+    echoes: the polynomial as printed and ``--vars``."""
+    f = parse_polynomial(args.poly, _context(args.vars))
+    return f, {"polynomial": to_text(f), "vars": args.vars}
+
+
 def _clip(f: Polynomial, full: bool, text: str) -> str:
     """``text``, the printed ``f``, or a placeholder past the term cap."""
     if not full and len(f) > TERM_CAP:
@@ -86,34 +93,23 @@ _Output = tuple[dict, dict, int, list[str]]
 
 
 def cmd_check(args: argparse.Namespace) -> _Output:
-    ctx = _context(args.vars)
-    f = parse_polynomial(args.poly, ctx)
-    inputs = {"polynomial": to_text(f), "vars": args.vars, "hsq": args.hsq}
+    f, inputs = _polynomial(args)
+    inputs["hsq"] = args.hsq
     solved = args.hsq == "solve"
-    if solved:
-        hsq = solve_hsq(f)
-        if hsq is None:
-            result = {
-                "solved": True,
-                "hsq": None,
-                "divisible": False,
-                "certificate": None,
-                "witness_remainder": None,
-                "warnings": [],
-            }
-            lines = ["no admissible squared curvature exists for this polynomial"]
-            return inputs, result, 1, lines
-    else:
-        hsq = _rational(args.hsq)
-    report = check_cmc(f, hsq)
+    hsq = solve_hsq(f) if solved else _rational(args.hsq)
+    # With no admissible curvature there is no report: nothing divides.
+    report = None if hsq is None else check_cmc(f, hsq)
     result = {
         "solved": solved,
-        "hsq": _fr(report.hsq),
-        "divisible": report.divisible,
-        "certificate": _text(report.certificate),
-        "witness_remainder": _text(report.witness_remainder),
-        "warnings": list(report.warnings),
+        "hsq": _fr(hsq),
+        "divisible": report is not None and report.divisible,
+        "certificate": _text(report.certificate) if report else None,
+        "witness_remainder": _text(report.witness_remainder) if report else None,
+        "warnings": list(report.warnings) if report else [],
     }
+    if report is None:
+        lines = ["no admissible squared curvature exists for this polynomial"]
+        return inputs, result, 1, lines
     lines = [
         f"polynomial: {inputs['polynomial']}",
         f"hsq: {result['hsq']}" + (" (solved)" if solved else ""),
@@ -130,11 +126,9 @@ def cmd_check(args: argparse.Namespace) -> _Output:
 
 
 def cmd_defect(args: argparse.Namespace) -> _Output:
-    ctx = _context(args.vars)
-    f = parse_polynomial(args.poly, ctx)
-    hsq = _rational(args.hsq)
-    d = cmc_defect(f, hsq)
-    inputs = {"polynomial": to_text(f), "vars": args.vars, "hsq": args.hsq}
+    f, inputs = _polynomial(args)
+    inputs["hsq"] = args.hsq
+    d = cmc_defect(f, _rational(args.hsq))
     degree = d.total_degree()
     result = {
         "defect": to_text(d),
@@ -149,18 +143,14 @@ def cmd_defect(args: argparse.Namespace) -> _Output:
 
 
 def cmd_decompose(args: argparse.Namespace) -> _Output:
-    ctx = _context(args.vars)
-    f = parse_polynomial(args.poly, ctx)
-    inputs = {"polynomial": to_text(f), "vars": args.vars}
+    f, inputs = _polynomial(args)
     parts = {str(k): to_text(p) for k, p in f.homogeneous_parts().items()}
     lines = [f"degree {k}: {text}" for k, text in parts.items()] or ["0"]
     return inputs, {"parts": parts}, 0, lines
 
 
 def cmd_cube_test(args: argparse.Namespace) -> _Output:
-    ctx = _context(args.vars)
-    f = parse_polynomial(args.poly, ctx)
-    inputs = {"polynomial": to_text(f), "vars": args.vars}
+    f, inputs = _polynomial(args)
     root = cube_root_cubic_form(f)
     result = {"is_cube": root is not None, "root": _text(root)}
     if root is None:
@@ -174,7 +164,6 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
         args.kind, _at_most(args.n, MAX_VARS, "--n"), rsq
     )
     inputs = {"kind": args.kind, "n": args.n, "rsq": args.rsq}
-    verified = True
     if hsq is not None:
         report = check_cmc(f, hsq)
         verified = report.divisible and report.certificate == certificate

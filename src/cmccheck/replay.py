@@ -28,12 +28,15 @@ transcription fidelity note outside the pass/fail chain: the chain itself
 only ever uses the congruence of step 2.
 
 Each polynomial is built only as far as a step reads it.  Steps 3 to 5
-multiply pieces of ``|grad f|^2`` and ``delta1 f``, keyed by degree and
-x1-degree, only where the degrees add up past 7.  Of the defect's degree-8
-part, steps 5 and 7 read the x1-valuation (bound 4) and the restrictions
-to x = 0 and y = 0, its x1-slices 0 and 8; so only slices 0 to 4 and 8 are
-formed.  Unless slice 4 is the first nonzero one, as on the pass path, the
-whole part is formed, so a failing record keeps its residual.
+multiply the nonzero pieces of ``|grad f|^2`` and ``delta1 f``, keyed by
+degree and x1-degree, only where the degrees add up past 7.  Step 5 reads
+the defect's degree-k part off the keys: its x1-valuation is the least
+x1-degree of its pieces, and its restrictions to y = 0 and (step 7, k = 8)
+x = 0 are its pieces (k, k) and (8, 0).  So of the degree-8 part only
+slices 0 to 4 and 8 are formed.  Unless slice 4 is the first nonzero one,
+as on the pass path, the whole part is formed, so a failing record keeps
+its residual.  Only the step-6 dividends and a failing residual sum pieces
+into whole parts.
 
 Step 8 first checks ``f2(0,y) = y'Ay``.  Then ``p6(0,y) f2(0,y) + 729 Ht^2
 (y'Ay)^4 = (p6(0,y) + 729 Ht^2 (y'Ay)^3) y'Ay`` with ``y'Ay != 0``, and the
@@ -52,7 +55,7 @@ x-axis identity catches it with residual ``2592 trace(A)^2 x^8``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .calculus import delta1, dot, grad_norm_sq
 from .cubic import (
@@ -63,7 +66,7 @@ from .cubic import (
     quad_form_to_matrix,
 )
 from .divide import divide
-from .ring import ExponentLimitError, Polynomial, RingError
+from .ring import POS_INF, ExponentLimitError, Polynomial, RingError
 
 MUTATIONS = ("cubic-part", "defect-sign")
 
@@ -171,37 +174,40 @@ def _step(name: str, residual: Polynomial, detail: str,
     return ReplayStep(name, "fail", residual, witness, detail)
 
 
-def _pieces(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
-    """``f`` split into its pieces keyed (degree, x1-degree), read from its
-    packed terms through the context's field helpers."""
-    split: dict[tuple[int, int], dict[int, int]] = {}
-    for (m, c), k in zip(f._terms.items(), f.ctx._degrees(f._terms)):
-        split.setdefault((k, f.ctx._field(m, 0)), {})[m] = c
-    return {key: Polynomial._from_ints(f.ctx, t, f._den) for key, t in split.items()}
+def _piece(k: int, e: int) -> tuple[int, int]:
+    """The key of a term's piece: its degree and x1-degree."""
+    return k, e
 
 
 def _product(factors: Sequence[tuple[dict, dict]],
-             key: Callable[[int, int], Hashable]) -> dict:
-    """``sum(sum(a) * sum(b) for a, b in factors)``, grouped by the
-    ``key(degree, x1-degree)`` of each product of two pieces and without
-    the products keyed ``None``; each group is one sum of products, and a
-    square (``a is b``) forms each cross product once, doubled."""
+             keep: Callable[[int, int], bool]) -> dict:
+    """The nonzero pieces of ``sum(sum(a) * sum(b) for a, b in factors)``
+    whose (degree, x1-degree) key passes ``keep``, over factors split the
+    same way; each piece is one sum of products, and a square (``a is b``)
+    forms each cross product once, doubled."""
     pairs: dict = {}
     for a, b in factors:
         for (i, s), p in a.items():
             for (j, t), q in b.items():
-                k = key(i + j, s + t)
-                if k is not None and (a is not b or (i, s) <= (j, t)):
+                if keep(i + j, s + t) and (a is not b or (i, s) <= (j, t)):
                     pq = (p, q) if a is not b or (i, s) == (j, t) else (p * 2, q)
-                    pairs.setdefault(k, []).append(pq)
-    return {k: Polynomial._sum_of_products(ps[0][0].ctx, ps)
-            for k, ps in pairs.items()}
+                    pairs.setdefault((i + j, s + t), []).append(pq)
+    pieces = ((k, Polynomial._sum_of_products(ps[0][0].ctx, ps))
+              for k, ps in pairs.items())
+    return {k: piece for k, piece in pieces if piece}
 
 
-def _defect_key(k: int, e: int) -> Optional[int]:
-    """The degree of each defect piece that steps 5 to 7 read: every piece
-    of degree 9 to 12, and the x1-slices 0 to 4 and 8 of degree 8."""
-    return k if k > 8 or k == 8 and (e <= 4 or e == 8) else None
+def _defect_key(k: int, e: int) -> bool:
+    """Whether steps 5 to 7 read the defect piece of degree ``k`` and
+    x1-degree ``e``: every piece of degree 9 to 12, and the x1-slices 0 to
+    4 and 8 of degree 8."""
+    return k > 8 or k == 8 and (e <= 4 or e == 8)
+
+
+def _valuation(pieces: dict, k: int) -> Union[int, float]:
+    """The x1-valuation of the degree-``k`` part: the least x1-degree of
+    its nonzero pieces."""
+    return min((e for d, e in pieces if d == k), default=POS_INF)
 
 
 def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
@@ -244,14 +250,14 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # |grad f|^4 keeps the pieces whose product with |grad f|^2 gets there.
         current = "gradsq-square"
         low = 7 - max(gparts, default=0)
-        gpieces = _pieces(gradsq)
-        gsq4 = _product([(gpieces, gpieces)], lambda k, e: (k, e) if k > low else None)
+        gpieces = gradsq._split(_piece)
+        gsq4 = _product([(gpieces, gpieces)], lambda k, e: k > low)
         residual = sum((p for (k, _), p in gsq4.items() if k > 7), zero) - x**8 * 81
         steps.append(_step(current, residual, "|grad f|^4 = 81 x^8 above degree 7"))
 
         current = "delta1-square"
-        d1pieces = _pieces(d1)
-        d1sq = _product([(d1pieces, d1pieces)], lambda k, e: (k, e) if k > 7 else None)
+        d1pieces = d1._split(_piece)
+        d1sq = _product([(d1pieces, d1pieces)], lambda k, e: k > 7)
         residual = sum(d1sq.values(), zero) - trace**2 * x**8 * 1296
         steps.append(_step(current, residual,
                            "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7"))
@@ -261,24 +267,22 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         sign = Polynomial.constant(ctx, 1 if mutation == "defect-sign" else -1)
         factors = [(gsq4, {key: ht2 * p for key, p in gpieces.items()}),
                    (d1sq, {(0, 0): sign})]
-        dpart = _product(factors, _defect_key)
+        dpieces = _product(factors, _defect_key)
         # Slices that leave the valuation open: form the whole degree-8 part.
-        if dpart.get(8, zero).valuation("x1") != 4:
-            dpart.update(_product(factors, lambda k, e: k if k == 8 else None))
-        dpart = {k: dpart.get(k, zero) for k in range(8, 13)}
-        vals = {k: dpart[k].valuation("x1") for k in range(8, 13)}
+        if _valuation(dpieces, 8) != 4:
+            dpieces.update(_product(factors, lambda k, e: k == 8))
+        vals = {k: _valuation(dpieces, k) for k in range(8, 13)}
         bad = [k for k in range(8, 13) if vals[k] < 2 * k - 12]
         detail = ", ".join(f"deg {k}: val {vals[k]} (need {2*k-12})" for k in range(8, 13))
-        # On the x-axis (y = 0) each part must equal the closed form built
-        # from the printed pieces of steps 1 and 4 alone:
+        # On the x-axis (y = 0) each part, its piece (k, k), must equal the
+        # closed form built from the printed pieces of steps 1 and 4 alone:
         # Ht^2 [(sum h_i|y=0)^3]_k - [k = 8] 1296 trace(A)^2 x^8.
-        y0 = {f"x{i}": 0 for i in range(2, n + 1)}
-        axis = {(k, k): h.substitute(y0) for k, h in enumerate(parts)}
-        axis_sq = _product([(axis, axis)], lambda k, e: (k, e) if k > 3 else None)
+        axis = {(k, k): h._split(_piece).get((k, k), zero) for k, h in enumerate(parts)}
+        axis_sq = _product([(axis, axis)], lambda k, e: k > 3)
         axis_cube = _product([(axis_sq, {key: ht2 * h for key, h in axis.items()})],
-                             lambda k, e: k if k > 7 else None)
+                             lambda k, e: k > 7)
         axis_diff = {
-            k: dpart[k].substitute(y0) - axis_cube.get(k, zero)
+            k: dpieces.get((k, k), zero) - axis_cube.get((k, k), zero)
             for k in range(8, 13)
         }
         axis_diff[8] = axis_diff[8] + trace**2 * x**8 * 1296
@@ -287,25 +291,27 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             detail += f"; x-axis identity fails at deg {axis_bad[0]}"
         else:
             detail += "; x-axis parts match the closed form for deg 8..12"
-        # A part below its valuation bound is nonzero, so it is the residual.
-        residual = (
-            dpart[bad[0]] if bad else axis_diff[axis_bad[0]] if axis_bad else zero
-        )
+        if bad:
+            # A part below its bound is nonzero (and whole), so it is the residual.
+            residual = sum((q for (k, _), q in dpieces.items() if k == bad[0]), zero)
+        else:
+            residual = axis_diff[axis_bad[0]] if axis_bad else zero
         steps.append(_step(current, residual, detail))
 
         current = "cascade-division"
         fparts = f.homogeneous_parts()
         f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
-        # dpart[k] = p_{k-3} f3 + p_{k-2} f2 + p_{k-1} f1, so the parts p9..p6
-        # come top down, each by an exact division by f3.  The first nonzero
-        # miss is the residual: a remainder, or p9 differing from its value.
+        # The degree-k part, the sum of its pieces, is p_{k-3} f3 + p_{k-2} f2
+        # + p_{k-1} f1, so the parts p9..p6 come top down, each by an exact
+        # division by f3.  The first nonzero miss is the residual: a
+        # remainder, or p9 differing from its value.
         p: dict[int, Polynomial] = {}
         cascade_residual = zero
         one = Polynomial.one(ctx)
         for k in range(12, 8, -1):
-            dividend = Polynomial._sum_of_products(ctx, [(dpart[k], one)] + [
-                (p[k - j], -fj) for j, fj in ((2, f2), (1, f1)) if k - j in p
-            ])
+            dividend = Polynomial._sum_of_products(ctx, [
+                (q, one) for (d, _), q in dpieces.items() if d == k
+            ] + [(p[k - j], -fj) for j, fj in ((2, f2), (1, f1)) if k - j in p])
             p[k - 3], rem = _exact_quotient(dividend, f3)
             if k == 12 and rem.is_zero:
                 rem = p[9] - ht2 * x**9 * 729
@@ -317,7 +323,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         current = "vanish-at-x0"
         at0 = {"x1": 0}
-        residual = p[7].substitute(at0) or dpart[8].substitute(at0)
+        residual = p[7].substitute(at0) or dpieces.get((8, 0), zero)
         steps.append(_step(current, residual,
                            "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0"))
 

@@ -11,7 +11,8 @@ polynomials in the parameters.
 Coefficients are exact rationals.  Floats are rejected at every entry
 point; nothing in this package ever rounds.
 
-Internal layout (known only to this module):
+Internal layout (read only by this module, :mod:`cmccheck.divide` and
+:mod:`cmccheck.parse`):
 
 * **Packed monomials.**  An exponent vector is one int with a bit field per
   variable, the first variable in the top field, so comparing the ints is
@@ -31,6 +32,8 @@ Internal layout (known only to this module):
   products of a whole sum of products into one dict; ``*`` (past its
   one-term shift), ``**``, ``substitute`` (past the terms that a variable
   bound to zero drops) and the package's sums of products all use it.
+* **One term split.**  ``Polynomial._split`` groups terms by degree and
+  x1-degree for the homogeneous parts and the replay's pieces.
 
 The public API speaks exponent tuples and ``Fraction``.  It has no ``/``:
 scale by a ``Fraction`` with ``*``, and divide by a polynomial with
@@ -49,11 +52,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import repeat
 from operator import neg as _neg, or_ as _or
 from typing import (
     Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union,
@@ -427,28 +429,28 @@ class Polynomial:
             return POS_INF
         return min(self.ctx._field(m, i) for m in self._terms)
 
-    def _degree_filter(self, keep: Callable[[int], bool]) -> "Polynomial":
-        degrees = self.ctx._degrees(self._terms)
-        return Polynomial._from_ints(
-            self.ctx,
-            dict(compress(self._terms.items(), map(keep, degrees))),
-            self._den,
-        )
+    def _split(self, key: Callable[[int, int], object]) -> dict:
+        """The terms grouped by ``key(degree, x1-degree)`` in one pass, one
+        polynomial per group, without the terms keyed ``None``; x1 is the
+        first variable, in the top field."""
+        ctx, terms = self.ctx, self._terms
+        top = ctx._shifts[0] if ctx._shifts else 0
+        split: dict = {}
+        keys = map(key, ctx._degrees(terms), map(top.__rrshift__, terms))
+        for (m, c), g in zip(terms.items(), keys):
+            if g is not None:
+                split.setdefault(g, {})[m] = c
+        return {g: Polynomial._from_ints(ctx, t, self._den) for g, t in split.items()}
 
     def homogeneous_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree exactly ``k``."""
-        return self._degree_filter(k.__eq__)
+        part = self._split(lambda d, e: True if d == k else None)
+        return part.get(True) or Polynomial.zero(self.ctx)
 
     def homogeneous_parts(self) -> dict[int, "Polynomial"]:
         """The nonzero homogeneous parts keyed by degree, ascending, split
         in one pass; ``{}`` for the zero polynomial."""
-        split: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        for (m, c), k in zip(self._terms.items(), self.ctx._degrees(self._terms)):
-            split[k][m] = c
-        return {
-            k: Polynomial._from_ints(self.ctx, split[k], self._den)
-            for k in sorted(split)
-        }
+        return dict(sorted(self._split(lambda d, e: d).items()))
 
     def high_part(self, k: int) -> "Polynomial":
         """Sum of terms of geometric-weighted degree strictly above ``k``.
@@ -456,7 +458,8 @@ class Polynomial:
         ``(a - b).high_part(k).is_zero`` is the congruence test
         "a equals b modulo terms of degree at most k".
         """
-        return self._degree_filter(k.__lt__)
+        part = self._split(lambda d, e: True if d > k else None)
+        return part.get(True) or Polynomial.zero(self.ctx)
 
     # ------------------------------------------------------------------
     # arithmetic

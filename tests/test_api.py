@@ -1,9 +1,11 @@
-"""The library surface: the decided ``__all__`` and the README's example.
+"""The library surface: the decided ``__all__``, the README's example and
+the modules that may read the packed layout.
 
 A name joins ``__all__`` only when the CLI, the replay, ``cmc`` or the
 benchmark calls it (ROADMAP item 7 records the list and its reasons).
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -59,3 +61,27 @@ def test_readme_library_example_runs(capsys):
     assert match, "README.md has no Library code block"
     exec(compile(match.group(1), str(readme), "exec"), {})
     assert "gradsq-parts pass" in capsys.readouterr().out
+
+
+# The packed layout of ``ring.py``: ``Polynomial``'s numerators and
+# denominator, and ``RingContext``'s bit-field helpers.  Besides ring.py,
+# only divide.py (division on packed ints) and parse.py (folding and
+# printing packed terms) read it; every other module goes through the
+# Polynomial API, ``_split`` and ``_sum_of_products`` included.
+LAYOUT = {
+    "_terms", "_den", "_shifts", "_mask", "_borrow", "_lift", "_pack",
+    "_unpack", "_field", "_degrees", "_check_packed", "_check_all_packed",
+    "_sort_key", "_from_ints",
+}
+LAYOUT_MODULES = {"ring.py", "divide.py", "parse.py"}
+
+
+def test_only_the_kernel_modules_read_the_packed_layout():
+    package = Path(cmccheck.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(package.glob("*.py")) if path.name not in LAYOUT_MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT
+    ]
+    assert reads == []

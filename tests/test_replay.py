@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 import re
 
@@ -196,39 +197,61 @@ def _x_filter(poly, keep):
     return Polynomial(poly.ctx, {m: c for m, c in poly.terms() if keep(m[0])})
 
 
-def _by_degree_above(d):
-    return lambda k, e: k if k > d else None
+def _above(d):
+    return lambda k, e: k > d
+
+
+def _part(pieces, k):
+    """The degree-``k`` part: the sum of its pieces."""
+    return sum((q for (j, _), q in pieces.items() if j == k),
+               Polynomial.zero(next(iter(pieces.values())).ctx))
 
 
 def test_graded_defect_parts_equal_the_full_defect():
     """Steps 3 to 5 form |grad f|^4 above degree 3, |grad f|^6 and
     (delta1 f)^2 above degree 7, from pieces keyed by degree and x1-degree;
-    formed whole, their parts must equal those of the full products."""
-    pieces, product = replay_module._pieces, replay_module._product
+    each piece must equal the x1-degree filter of the full product's part,
+    and the degree-k parts those of the full products."""
+    product, piece = replay_module._product, replay_module._piece
     for n in (3, 4):
         f, spec = generic_cubic(n)
         ht = Polynomial.variable(f.ctx, spec.curvature_name)
         zero = Polynomial.zero(f.ctx)
         gradsq, d1 = grad_norm_sq(f), delta1(f)
-        gp, dp = pieces(gradsq), pieces(d1)
+        gp, dp = gradsq._split(piece), d1._split(piece)
         for whole, split in ((gradsq, gp), (d1, dp)):
             assert split and all(not q.is_zero for q in split.values()), n
             for (k, e), q in split.items():
                 assert q == _x_filter(whole.homogeneous_part(k), e.__eq__), (n, k, e)
             assert sum(split.values(), zero) == whole, n
-        gsq4 = product([(gp, gp)], lambda k, e: (k, e) if k > 3 else None)
-        gsq6 = product([(gsq4, gp)], _by_degree_above(7))
-        d1sq = product([(dp, dp)], _by_degree_above(7))
+        gsq4 = product([(gp, gp)], _above(3))
+        gsq6 = product([(gsq4, gp)], _above(7))
+        d1sq = product([(dp, dp)], _above(7))
         full_gsq4 = gradsq * gradsq
         assert sorted({k for k, _ in gsq4}) == list(range(4, 9)), n
         for (k, e), q in gsq4.items():
             assert q == _x_filter(full_gsq4.homogeneous_part(k), e.__eq__), (n, k, e)
         assert sum(d1sq.values(), zero) == (d1 * d1).high_part(7), n
+        assert gsq6 == _full_product([(gsq4, gp)], _above(7)), n
         defect = symbolic_defect(f, spec.curvature_name)
         for k in range(8, 13):
-            graded = ht * ht * gsq6.get(k, zero) - d1sq.get(k, zero)
+            graded = ht * ht * _part(gsq6, k) - _part(d1sq, k)
             assert graded == defect.homogeneous_part(k), (n, k)
         assert defect.high_part(12).is_zero, n
+
+
+def test_product_drops_cancelled_pieces():
+    """A piece whose products cancel is left out, so the least x1-degree of
+    the pieces is the valuation: (x1 + x2)^2 - x2^2 has valuation 1."""
+    ctx = RingContext.geometric(2)
+    x1, x2 = Polynomial.variable(ctx, "x1"), Polynomial.variable(ctx, "x2")
+    piece = replay_module._piece
+    a, b = (x1 + x2)._split(piece), (x2 * x2)._split(piece)
+    pieces = replay_module._product([(a, a), (b, {(0, 0): -Polynomial.one(ctx)})],
+                                    lambda k, e: True)
+    assert pieces == {(2, 2): x1 * x1, (2, 1): x1 * x2 * 2}
+    assert replay_module._valuation(pieces, 2) == 1
+    assert replay_module._valuation(pieces, 3) == math.inf
 
 
 def test_degree8_slices_are_the_x_degree_filter_of_the_defect(monkeypatch):
@@ -242,46 +265,48 @@ def test_degree8_slices_are_the_x_degree_filter_of_the_defect(monkeypatch):
     for n, mutation in cases:
         formed = []
 
-        def spy(factors, key):
-            out = real(factors, key)
-            if key is replay_module._defect_key:
+        def spy(factors, keep):
+            out = real(factors, keep)
+            if keep is replay_module._defect_key:
                 formed.append(dict(out))  # step 5 may update ``out``
             return out
 
         monkeypatch.setattr(replay_module, "_product", spy)
         assert replay(n, mutation).passed == (mutation is None), n
-        [dpart] = formed
+        [dpieces] = formed
         f, spec = generic_cubic(n)
         if mutation:
             f = f - spec.x**3 + spec.x**2 * spec.y[0]
         parts = symbolic_defect(f, spec.curvature_name).homogeneous_parts()
-        assert dpart[8] == _x_filter(parts[8], kept), (n, mutation)
+        assert _part(dpieces, 8) == _x_filter(parts[8], kept), (n, mutation)
         # The dropped slices are not empty.
         assert not _x_filter(parts[8], lambda e: not kept(e)).is_zero, n
-        assert dpart[8].valuation("x1") == (2 if mutation else 4), (n, mutation)
+        valuation = _part(dpieces, 8).valuation("x1")
+        assert valuation == (2 if mutation else 4), (n, mutation)
         assert max(parts) == 12, n
         for k in range(9, 13):
-            assert dpart[k] == parts[k], (n, mutation, k)
+            assert _part(dpieces, k) == parts[k], (n, mutation, k)
     f, _ = generic_cubic(3)
     g = (Polynomial.variable(f.ctx, "x1") + Polynomial.variable(f.ctx, "x2") + 1)**4
-    pieces = replay_module._pieces(g)
+    pieces = g._split(replay_module._piece)
     part8 = (g * g).homogeneous_part(8)
     assert {m[0] for m in part8.monomials()} == set(range(9))
     assert real([(pieces, pieces)], replay_module._defect_key) == {
-        8: _x_filter(part8, kept)}
+        (8, e): _x_filter(part8, e.__eq__) for e in range(9) if kept(e)}
 
 
-def _full_product(factors, key):
-    """Reference for ``_product``: multiply the whole sums, then group the
-    terms by the ``key`` of their degree and x1-degree."""
+def _full_product(factors, keep):
+    """Reference for ``_product``: multiply the whole sums, then split the
+    terms into pieces by degree and x1-degree, keeping those ``keep``
+    passes."""
     ctx = next(iter(factors[0][0].values())).ctx
     zero = Polynomial.zero(ctx)
     full = sum((sum(a.values(), zero) * sum(b.values(), zero)
                 for a, b in factors), zero)
     groups = {}
     for mono, c in full.terms():
-        k = key(sum(mono[:ctx.geometric_count]), mono[0])
-        if k is not None:
+        k = (sum(mono[:ctx.geometric_count]), mono[0])
+        if keep(*k):
             groups.setdefault(k, {})[mono] = c
     return {k: Polynomial(ctx, terms) for k, terms in groups.items()}
 
@@ -306,7 +331,7 @@ def test_graded_replay_matches_a_full_product_reference(monkeypatch):
             assert path in graded.step("defect-valuations").detail, (n, mutation)
             with monkeypatch.context() as m:
                 m.setattr(replay_module, "_product", _full_product)
-                m.setattr(replay_module, "_defect_key", _by_degree_above(7))
+                m.setattr(replay_module, "_defect_key", _above(7))
                 reference = replay(n, mutation)
             assert graded.steps == reference.steps, (n, mutation)
             assert graded.overall == reference.overall, (n, mutation)
