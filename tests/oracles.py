@@ -98,6 +98,53 @@ def raw_delta1(f: Polynomial) -> dict:
     return twice
 
 
+def _raw_cbrt(q: Fraction):
+    """Exact rational cube root of a small rational, or None."""
+    def icbrt(v: int):
+        r = round(v ** (1 / 3))
+        return next((t for t in (r - 1, r, r + 1) if t**3 == v), None)
+
+    num, den = icbrt(abs(q.numerator)), icbrt(q.denominator)
+    if num is None or den is None:
+        return None
+    return Fraction(num if q > 0 else -num, den)
+
+
+def raw_cube_root(c: Polynomial):
+    """What ``cube_root_cubic_form(c)`` should give, from ``terms()`` alone:
+    the raw dict of the root, None, or the message of the error it raises.
+
+    At the first geometric ``x_k`` with a nonzero ``x_k^3`` coefficient
+    ``a^3`` (None if ``a^3`` is no rational cube), the candidate is
+    ``a x_k + sum_j coeff(x_k^2 x_j) / (3 a^2) x_j``; it is the root when its
+    cube is ``c``."""
+    g, nvars = c.ctx.geometric_count, c.ctx.nvars
+    terms = raw(c)
+    if any(sum(m[:g]) != 3 or any(m[g:]) for m in terms):
+        return "cube root needs a homogeneous cubic form in the geometric variables"
+    if not terms:
+        return {}
+
+    def mono(*factors: int) -> tuple[int, ...]:
+        exps = [0] * nvars
+        for i in factors:
+            exps[i] += 1
+        return tuple(exps)
+
+    k = next((k for k in range(g) if mono(k, k, k) in terms), None)
+    if k is None:
+        return None
+    a = _raw_cbrt(terms[mono(k, k, k)])
+    if a is None:
+        return None
+    root = {mono(k): a}
+    for j in range(g):
+        square = terms.get(mono(k, k, j)) if j != k else None
+        if square:
+            root[mono(j)] = square / (3 * a * a)
+    return root if raw_pow(root, 3, nvars) == terms else None
+
+
 def raw_evaluate(f: Polynomial, point: dict) -> Fraction:
     """Value of ``f`` at ``point``, a map from each used variable's name."""
     names = f.ctx.variables

@@ -13,7 +13,7 @@ from cmccheck.cubic import (
     rational_cube_root,
 )
 from cmccheck.ring import Polynomial, RingContext, RingError
-from oracles import random_coeff
+from oracles import random_coeff, raw, raw_cube_root
 
 CTX2 = RingContext.geometric(2)
 CTX3 = RingContext.geometric(3)
@@ -154,6 +154,45 @@ def test_cube_root_completeness_randomized():
         )
         root = cube_root_cubic_form(l**3)
         assert root == l  # rational cube roots are unique
+
+
+def _cube_root_outcome(c):
+    try:
+        root = cube_root_cubic_form(c)
+    except RingError as exc:
+        return str(exc)
+    return None if root is None else raw(root)
+
+
+def test_cube_root_matches_the_term_reference_randomized():
+    # Cubes, cubes plus one cubic monomial, cubes stripped of some x_k^3
+    # terms, and forms that carry the parameter or a lower-degree term.
+    ctx = RingContext.with_parameters(["x1", "x2", "x3", "x4"], ["a"])
+    geo = [var(ctx, name) for name in ctx.geometric_variables]
+    a = var(ctx, "a")
+    rng = random.Random(19)
+    kinds = set()
+    for i in range(600):
+        l = sum(
+            (v * Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in geo),
+            Polynomial.zero(ctx),
+        )
+        c = l**3
+        family = i % 4
+        if family == 1:
+            c = c + rng.choice(geo) * rng.choice(geo) * rng.choice(geo) * (
+                random_coeff(rng))
+        elif family == 2:
+            for k, v in enumerate(geo):
+                if rng.random() < 0.5:
+                    cube = tuple(3 if j == k else 0 for j in range(ctx.nvars))
+                    c = c - v**3 * c.coefficient(cube)
+        elif family == 3:
+            c = c + rng.choice([a * l**3, a * geo[0] ** 3, geo[1] ** 2, geo[2]])
+        outcome = _cube_root_outcome(c)
+        assert outcome == raw_cube_root(c), str(c)
+        kinds.add(type(outcome))
+    assert kinds == {dict, type(None), str}
 
 
 def test_quad_form_matrix_example():
