@@ -243,14 +243,7 @@ def refutation_sweep(
         else:
             a = rng.randint(1, coeff_bound)
             b = rng.randint(1, coeff_bound)
-            radial = sum(
-                (
-                    Polynomial.variable(ctx, name) ** 2
-                    for name in ctx.geometric_variables
-                ),
-                Polynomial.zero(ctx),
-            )
-            f = radial * a - b
+            f = make_surface("sphere", n, Fraction(b, a))[0] * a
         hsq = solve_hsq(f)
         if hsq is not None:
             report = check_cmc(f, hsq)

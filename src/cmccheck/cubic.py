@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .calculus import dot
+from .calculus import dot, partial
 from .ring import Polynomial, RingContext, RingError
 
 
@@ -154,10 +154,12 @@ def cube_root_cubic_form(c: Polynomial) -> Optional[Polynomial]:
     """Linear form l with l^3 = c, or None when no such form exists.
 
     ``c`` must be homogeneous of degree 3 in the geometric variables with
-    rational coefficients (no parameters).  Any candidate root must show up
-    as a rational cube on some pure-cube monomial, and the remaining
-    coefficients of the root are read off the adjacent square terms; a
-    final exact cube confirms or rejects the candidate.
+    rational coefficients (no parameters).  If ``c = l^3``, then
+    ``d^2c/dx_k^2 = 6 l_k^2 l`` and ``l_k^3`` is the coefficient of
+    ``x_k^3``.  So at the first ``x_k`` whose cube has a nonzero coefficient
+    ``a^3``, the only candidate is ``d^2c/dx_k^2 / (6 a^2)``, and None
+    follows when ``a^3`` is no rational cube; a final exact cube confirms or
+    rejects the candidate.
     """
     ctx = c.ctx
     if c.is_zero:
@@ -168,32 +170,16 @@ def cube_root_cubic_form(c: Polynomial) -> Optional[Polynomial]:
             raise RingError(
                 "cube root needs a homogeneous cubic form in the geometric variables"
             )
-    cube_at = None
-    for k in range(g):
-        mono = tuple(3 if j == k else 0 for j in range(ctx.nvars))
-        if c.coefficient(mono):
-            cube_at = k
+    for k, name in enumerate(ctx.geometric_variables):
+        cube = c.coefficient(tuple(3 if j == k else 0 for j in range(ctx.nvars)))
+        if cube:
             break
-    if cube_at is None:
+    else:
         return None
-    a = rational_cube_root(
-        c.coefficient(tuple(3 if j == cube_at else 0 for j in range(ctx.nvars)))
-    )
+    a = rational_cube_root(cube)
     if a is None:
         return None
-    # l = a*x_k + sum_j coeff(x_k^2 x_j) / (3 a^2) * x_j
-    root = Polynomial.variable(ctx, ctx.variables[cube_at]) * a
-    for j in range(g):
-        if j == cube_at:
-            continue
-        mono = tuple(
-            2 if t == cube_at else (1 if t == j else 0) for t in range(ctx.nvars)
-        )
-        coeff = c.coefficient(mono)
-        if coeff:
-            root = root + Polynomial.variable(ctx, ctx.variables[j]) * (
-                coeff / (3 * a * a)
-            )
+    root = partial(partial(c, name), name) * (1 / (6 * a * a))
     if root**3 == c:
         return root
     return None
@@ -221,38 +207,35 @@ def quad_form_to_matrix(q: Polynomial, variables: Sequence[str]) -> SymMatrix:
 
     Every term of ``q`` must have degree exactly 2 in the designated
     variables and involve no other geometric variable; parameters may
-    appear freely in the entries.  Off-diagonal entries are half the mixed
-    coefficients, so the representation is exactly symmetric.
+    appear freely in the entries.  Otherwise the call raises "not a
+    quadratic form" when some term's designated degree is not 2, and
+    "touches a geometric variable outside the designated set" when every
+    term's is 2.
+
+    With ``g_i = dq/dv_i``, Euler's identity makes ``sum_i v_i g_i`` the sum
+    of each term times its designated degree, which is ``2q`` exactly when
+    every such degree is 2.  Then ``q = v'Mv`` with ``M_ij = 1/2 dg_i/dv_j``,
+    entries free of the designated variables, and ``M_ij`` holds a
+    geometric variable exactly when some term of ``q`` holds one outside
+    the designated set (distinct terms give distinct terms of ``M_ij``).
     """
     ctx = q.ctx
-    idx = [ctx.index(name) for name in variables]
-    designated = set(idx)
-    pos = {v: t for t, v in enumerate(idx)}
-    m = len(idx)
-    entries = [[Polynomial.zero(ctx) for _ in range(m)] for _ in range(m)]
-    for mono, coeff in q.terms():
-        support = [v for v in range(ctx.nvars) if mono[v] and v in designated]
-        if sum(mono[v] for v in support) != 2:
-            raise RingError("not a quadratic form in the designated variables")
-        for v in range(ctx.geometric_count):
-            if mono[v] and v not in designated:
-                raise RingError(
-                    "quadratic form touches a geometric variable outside the "
-                    "designated set"
-                )
-        rest = list(mono)
-        for v in support:
-            rest[v] = 0
-        carrier = Polynomial.monomial(ctx, tuple(rest), coeff)
-        if len(support) == 1:
-            t = pos[support[0]]
-            entries[t][t] = entries[t][t] + carrier
-        else:
-            t, u = pos[support[0]], pos[support[1]]
-            half = carrier * Fraction(1, 2)
-            entries[t][u] = entries[t][u] + half
-            entries[u][t] = entries[u][t] + half
-    return SymMatrix(tuple(tuple(row) for row in entries))
+    vs = [Polynomial.variable(ctx, name) for name in variables]
+    grads = [partial(q, name) for name in variables]
+    if Polynomial._sum_of_products(ctx, list(zip(vs, grads))) != q * 2:
+        raise RingError("not a quadratic form in the designated variables")
+    lower = [
+        [partial(g, name) * Fraction(1, 2) for name in variables[: i + 1]]
+        for i, g in enumerate(grads)
+    ]
+    if any(e.total_degree() > 0 for row in lower for e in row):
+        raise RingError(
+            "quadratic form touches a geometric variable outside the designated set"
+        )
+    m = len(vs)
+    return SymMatrix(tuple(
+        tuple(lower[max(i, j)][min(i, j)] for j in range(m)) for i in range(m)
+    ))
 
 
 def quad_form_from_matrix(

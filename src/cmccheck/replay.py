@@ -149,12 +149,6 @@ def _expected_delta1_rest(spec: GenericCubicSpec) -> Polynomial:
     ])
 
 
-def expected_delta1_expansion(n: int) -> Polynomial:
-    """The printed closed-form expansion of delta1(f) for dimension n."""
-    f, spec = generic_cubic(n)
-    return grad_norm_sq(f) * spec.trace * 4 + _expected_delta1_rest(spec)
-
-
 def _exact_quotient(
     dividend: Polynomial, divisor: Polynomial
 ) -> tuple[Polynomial, Polynomial]:

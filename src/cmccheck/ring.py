@@ -364,16 +364,6 @@ class Polynomial:
     def variable(cls, ctx: RingContext, name: str) -> "Polynomial":
         return cls._from_ints(ctx, {1 << ctx._shifts[ctx.index(name)]: 1})
 
-    @classmethod
-    def monomial(
-        cls, ctx: RingContext, mono: Sequence[int], coeff: Rational = 1
-    ) -> "Polynomial":
-        m = ctx._pack(mono)
-        coeff = as_fraction(coeff)
-        if not coeff:
-            return cls.zero(ctx)
-        return cls._from_ints(ctx, {m: coeff.numerator}, coeff.denominator)
-
     # ------------------------------------------------------------------
     # inspection
 

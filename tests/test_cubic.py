@@ -225,6 +225,55 @@ def test_quad_form_rejections():
         quad_form_to_matrix(var(ctx, "x1") * y1, ("x2", "x3"))
 
 
+NOT_QUADRATIC = "not a quadratic form in the designated variables"
+OUTSIDE = "quadratic form touches a geometric variable outside the designated set"
+
+
+def test_equal_quad_forms_raise_the_same_error():
+    # Both rules break; the verdict must not hang on the order of the terms.
+    x1, x3 = var(CTX3, "x1"), var(CTX3, "x3")
+    for q in (x1**3 + x1**2 * x3, x1**2 * x3 + x1**3):
+        with pytest.raises(RingError, match=f"^{NOT_QUADRATIC}$"):
+            quad_form_to_matrix(q, ["x1"])
+
+
+def test_quad_form_to_matrix_follows_the_term_rule_randomized():
+    # A matrix exactly when every term has designated degree 2 and no other
+    # geometric variable; else NOT_QUADRATIC when some term's designated
+    # degree is not 2, and OUTSIDE when none is.
+    ctx = RingContext.with_parameters(["x1", "x2", "x3", "x4"], ["a", "b"])
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(500):
+        names = rng.sample(ctx.geometric_variables, rng.randint(1, 3))
+        designated = [ctx.index(name) for name in names]
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            exps = [0] * ctx.nvars
+            for _ in range(rng.choice([2, 2, 2, 2, 1, 3])):
+                exps[rng.choice(designated)] += 1
+            if rng.random() < 0.2:
+                exps[rng.randrange(ctx.geometric_count)] += 1
+            exps[4], exps[5] = rng.randint(0, 2), rng.randint(0, 1)
+            terms[tuple(exps)] = random_coeff(rng)
+        q = Polynomial(ctx, terms)
+        not_quadratic = outside = False
+        for mono, _ in q.terms():
+            not_quadratic |= sum(mono[i] for i in designated) != 2
+            outside |= any(mono[i] for i in range(ctx.geometric_count)
+                           if i not in designated)
+        expected = NOT_QUADRATIC if not_quadratic else OUTSIDE if outside else None
+        seen.add((not_quadratic, outside))
+        try:
+            m = quad_form_to_matrix(q, names)
+        except RingError as exc:
+            assert str(exc) == expected, str(q)
+        else:
+            assert expected is None, str(q)
+            assert quad_form_from_matrix(m, names, ctx) == q
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_quad_form_linear_in_both_directions():
     rng = random.Random(42)
     ctx = RingContext.with_parameters(["x1", "x2"], ["a"])

@@ -16,11 +16,7 @@ from cmccheck.cubic import (
 )
 from cmccheck.divide import divides
 from cmccheck.parse import to_text
-from cmccheck.replay import (
-    MUTATIONS,
-    expected_delta1_expansion,
-    replay,
-)
+from cmccheck.replay import MUTATIONS, _expected_delta1_rest, replay
 from cmccheck.ring import (
     ExponentLimitError, Polynomial, RingContext, RingError,
 )
@@ -77,12 +73,14 @@ def test_obstruction_witness_is_the_quartic_power():
 
 def test_expected_delta1_expansion_matches_engine():
     for n in (3, 4):
-        f, _ = generic_cubic(n)
-        assert expected_delta1_expansion(n) == delta1(f)
+        f, spec = generic_cubic(n)
+        expansion = grad_norm_sq(f) * spec.trace * 4 + _expected_delta1_rest(spec)
+        assert expansion == delta1(f)
 
 
 def test_expected_delta1_expansion_top_degree():
-    exp = expected_delta1_expansion(3)
+    f, spec = generic_cubic(3)
+    exp = grad_norm_sq(f) * spec.trace * 4 + _expected_delta1_rest(spec)
     ctx = exp.ctx
     x = Polynomial.variable(ctx, "x1")
     trace = Polynomial.variable(ctx, "a_11") + Polynomial.variable(ctx, "a_22")
