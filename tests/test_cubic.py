@@ -17,6 +17,8 @@ from oracles import random_coeff, raw, raw_cube_root
 
 CTX2 = RingContext.geometric(2)
 CTX3 = RingContext.geometric(3)
+NOT_QUADRATIC = "not a quadratic form in the designated variables"
+OUTSIDE = "quadratic form touches a geometric variable outside the designated set"
 
 
 def var(ctx, name):
@@ -216,17 +218,16 @@ def test_quad_form_with_parameter_entries():
 def test_quad_form_rejections():
     ctx = RingContext.with_parameters(["x1", "x2", "x3"], ["a"])
     y1 = var(ctx, "x2")
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match=f"^{NOT_QUADRATIC}$"):
         quad_form_to_matrix(y1**3, ("x2", "x3"))
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match=f"^{NOT_QUADRATIC}$"):
         quad_form_to_matrix(y1**2 + y1, ("x2", "x3"))
-    with pytest.raises(RingError):
-        # touches x1, which is geometric but not designated
+    with pytest.raises(RingError, match=f"^{NOT_QUADRATIC}$"):
+        # designated degree 1, although x1 is also outside the set
         quad_form_to_matrix(var(ctx, "x1") * y1, ("x2", "x3"))
-
-
-NOT_QUADRATIC = "not a quadratic form in the designated variables"
-OUTSIDE = "quadratic form touches a geometric variable outside the designated set"
+    with pytest.raises(RingError, match=f"^{OUTSIDE}$"):
+        # touches x1, which is geometric but not designated
+        quad_form_to_matrix(var(ctx, "x1") * y1**2, ("x2", "x3"))
 
 
 def test_equal_quad_forms_raise_the_same_error():
