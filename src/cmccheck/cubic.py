@@ -224,6 +224,7 @@ def quad_form_to_matrix(q: Polynomial, variables: Sequence[str]) -> SymMatrix:
     grads = [partial(q, name) for name in variables]
     if Polynomial._sum_of_products(ctx, list(zip(vs, grads))) != q * 2:
         raise RingError("not a quadratic form in the designated variables")
+    # M is symmetric: form its lower triangle and mirror it.
     lower = [
         [partial(g, name) * Fraction(1, 2) for name in variables[: i + 1]]
         for i, g in enumerate(grads)

@@ -182,8 +182,8 @@ def test_cube_root_matches_the_term_reference_randomized():
         c = l**3
         family = i % 4
         if family == 1:
-            c = c + rng.choice(geo) * rng.choice(geo) * rng.choice(geo) * (
-                random_coeff(rng))
+            monomial = rng.choice(geo) * rng.choice(geo) * rng.choice(geo)
+            c = c + monomial * random_coeff(rng)
         elif family == 2:
             for k, v in enumerate(geo):
                 if rng.random() < 0.5:
