@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from cmccheck.cmc import (
     solve_hsq,
 )
 from cmccheck.divide import divide
-from cmccheck.parse import parse_polynomial
+from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.ring import Polynomial, RingContext, RingError
 from oracles import (
     random_coeff,
@@ -344,6 +345,30 @@ def test_sweep_is_deterministic_in_the_seed():
     one = refutation_sweep(3, count=10, coeff_bound=3, seed=5)
     two = refutation_sweep(3, count=10, coeff_bound=3, seed=5)
     assert one == two
+
+
+# sha256 of the texts of two consecutive draws per seed 0..4, joined by
+# newlines.  A cubic sweep with no hits prints no polynomial, so the
+# goldens cannot see a changed draw; these pins can.
+RANDOM_CUBIC_SHA256 = {
+    3: "a3957cf575fc996b6d75fd9cd0dd8957c0939ec03a0f28ba37e514d85780dfaa",
+    4: "b9bfe5391c9f8d4a444bb82a78ceca6c7d2049f52748bab6404cf9080716d35a",
+    5: "808ae705c8c15e59ea22f1d0cc43dbb2deb314cc24f877420a8d7fcd3e1c1803",
+    6: "ef51cab0b836854eb539d6a8f90bd8045a63890dce5614374e34dc1a96740b93",
+    7: "bb82e8a8ace235b963181354305eb17bb8efe5b29023b8be73ebbd697bbfadc7",
+    8: "89578646a702b8b994a1874ade8f74a3e6bb5d572fb676d2c2a8f2f84f88884c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_CUBIC_SHA256))
+def test_random_cubic_draws_are_pinned(n):
+    ctx = RingContext.geometric(n)
+    texts = []
+    for seed in range(5):
+        rng = random.Random(seed)
+        texts += [to_text(_random_cubic(rng, ctx, 5)) for _ in range(2)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == RANDOM_CUBIC_SHA256[n]
 
 
 def test_sweep_validation():
