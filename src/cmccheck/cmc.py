@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Optional
 
 from .calculus import cmc_defect, delta1, grad_norm_sq
@@ -187,16 +188,11 @@ class SweepReport:
 def _random_cubic(rng: random.Random, ctx: RingContext, bound: int) -> Polynomial:
     """Random integer-coefficient cubic with a nonzero degree-3 part."""
     n = ctx.nvars
-    monos = []
-
-    def grow(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n:
-            monos.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            grow(prefix + [e], remaining - e, pos + 1)
-
-    grow([], 3, 0)
+    monos = sorted(
+        tuple(c.count(i) for i in range(n))
+        for d in range(4)
+        for c in combinations_with_replacement(range(n), d)
+    )
     while True:
         terms = {}
         for mono in monos:
