@@ -75,7 +75,7 @@ def cmc_defect(f: Polynomial, hsq: Rational) -> Polynomial:
     return gns**3 * (4 * (n - 1) ** 2 * hsq) - d1 * d1
 
 
-def symbolic_defect(f: Polynomial, curvature_name: str = "Ht") -> Polynomial:
+def symbolic_defect(f: Polynomial) -> Polynomial:
     """Defect with the curvature folded into one parameter.
 
     Writing ``Ht = 2*(n-1)*H`` turns the defect into
@@ -84,11 +84,9 @@ def symbolic_defect(f: Polynomial, curvature_name: str = "Ht") -> Polynomial:
     """
     if f.ctx.geometric_count < 2:
         raise RingError("defect needs at least two geometric variables")
-    if not f.ctx.is_parameter(curvature_name):
-        raise RingError(
-            f"context must declare {curvature_name!r} as a parameter variable"
-        )
-    ht = Polynomial.variable(f.ctx, curvature_name)
+    if not f.ctx.is_parameter("Ht"):
+        raise RingError("context must declare 'Ht' as a parameter variable")
+    ht = Polynomial.variable(f.ctx, "Ht")
     gns = grad_norm_sq(f)
     d1 = delta1(f)
     return ht * ht * gns**3 - d1 * d1

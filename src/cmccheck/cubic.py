@@ -24,22 +24,16 @@ from .ring import Polynomial, RingContext, RingError
 
 @dataclass(frozen=True)
 class GenericCubicSpec:
-    """The symbolic pieces of a generic cubic: names and atom polynomials.
+    """The atoms of a generic cubic and the pieces built from them.
 
     ``x`` is x1 and ``y`` is (x2..xn); ``A`` is the full symmetric grid of
-    matrix entries, ``r`` and ``s`` the parameter vectors, ``k0``, ``k1``
-    the scalars and ``ht`` the folded curvature parameter Ht, each the
-    variable polynomial of its name.  ``Ay``, ``yAy`` (y'Ay) and ``trace``
-    (trace(A)) are built once from those atoms.
+    matrix entries (``A[i][j]`` and ``A[j][i]`` are one atom), ``r`` and
+    ``s`` the parameter vectors, ``k0``, ``k1`` the scalars and ``ht`` the
+    folded curvature parameter Ht, each the variable polynomial of its
+    roster name.  ``Ay``, ``yAy`` (y'Ay) and ``trace`` (trace(A)) are built
+    once from those atoms.
     """
 
-    n: int
-    matrix_names: tuple[tuple[str, ...], ...]  # full (n-1) x (n-1) symmetric grid
-    r_names: tuple[str, ...]
-    s_names: tuple[str, ...]
-    k0_name: str
-    k1_name: str
-    curvature_name: str
     x: Polynomial
     y: tuple[Polynomial, ...]
     A: tuple[tuple[Polynomial, ...], ...]
@@ -53,69 +47,50 @@ class GenericCubicSpec:
     trace: Polynomial
 
 
-def matrix_entry_name(i: int, j: int) -> str:
-    # Row/column indices are 1-based; storage keeps i <= j.
-    if i > j:
-        i, j = j, i
-    return f"a_{i}{j}"
-
-
 def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
     """Generic cubic in normal form over a fresh parameter ring.
 
-    Returns the polynomial and its spec of names and atoms.  The context
-    has geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by
-    the parameters a_ij (i <= j), r_i, s_i, k0, k1 and Ht, under lex order.
-    Its exponent guard is 12, the largest exponent the replay forms (x^12
-    in the degree-12 defect part; no parameter passes exponent 6), so a
-    packed field is 5 bits wide, not 17; at a guard of 11 the replay stops
-    in its step 5.
+    Returns the polynomial and its spec of atoms.  The context has
+    geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by the
+    parameters a_ij (i <= j, row by row), r_i, s_i, k0, k1 and Ht, under
+    lex order.  Its exponent guard is 12, the largest exponent the replay
+    forms (x^12 in the degree-12 defect part; no parameter passes exponent
+    6), so a packed field is 5 bits wide, not 17; at a guard of 11 the
+    replay stops in its step 5.
     """
     if n < 3:
         raise RingError("generic cubic needs dimension n >= 3")
     m = n - 1
-    a_names = [matrix_entry_name(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
-    r_names = [f"r_{i}" for i in range(1, m + 1)]
-    s_names = [f"s_{i}" for i in range(1, m + 1)]
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
     ctx = RingContext(
         tuple(f"x{i}" for i in range(1, n + 1))
-        + tuple(a_names + r_names + s_names + ["k0", "k1", "Ht"]),
+        + tuple(f"a_{i}{j}" for i, j in pairs)
+        + tuple(f"r_{i}" for i in range(1, m + 1))
+        + tuple(f"s_{i}" for i in range(1, m + 1))
+        + ("k0", "k1", "Ht"),
         n, "lex", exponent_guard=12,
     )
-    matrix_names = tuple(
-        tuple(matrix_entry_name(i, j) for j in range(1, m + 1))
+    roster = iter([Polynomial.variable(ctx, name) for name in ctx.variables])
+
+    def take(k):
+        return tuple(next(roster) for _ in range(k))
+
+    (x,), y = take(1), take(m)
+    entry = dict(zip(pairs, take(len(pairs))))
+    a = tuple(
+        tuple(entry[min(i, j), max(i, j)] for j in range(1, m + 1))
         for i in range(1, m + 1)
     )
-
-    def atoms(names):
-        return tuple(Polynomial.variable(ctx, name) for name in names)
-
-    y = atoms(f"x{i}" for i in range(2, n + 1))
-    a = tuple(atoms(row) for row in matrix_names)
+    r, s = take(m), take(m)
+    k0, k1, ht = take(3)
     ay = tuple(dot(row, y) for row in a)
     spec = GenericCubicSpec(
-        n=n,
-        matrix_names=matrix_names,
-        r_names=tuple(r_names),
-        s_names=tuple(s_names),
-        k0_name="k0",
-        k1_name="k1",
-        curvature_name="Ht",
-        x=Polynomial.variable(ctx, "x1"),
-        y=y,
-        A=a,
-        r=atoms(r_names),
-        s=atoms(s_names),
-        k0=Polynomial.variable(ctx, "k0"),
-        k1=Polynomial.variable(ctx, "k1"),
-        ht=Polynomial.variable(ctx, "Ht"),
+        x=x, y=y, A=a, r=r, s=s, k0=k0, k1=k1, ht=ht,
         Ay=ay,
         yAy=dot(y, ay),
         trace=sum((a[i][i] for i in range(m)), Polynomial.zero(ctx)),
     )
-    x = spec.x
-    r_dot_y, s_dot_y = dot(spec.r, y), dot(spec.s, y)
-    f = x**3 + spec.yAy + spec.k0 * x**2 + r_dot_y * x + spec.k1 * x + s_dot_y
+    f = x**3 + spec.yAy + k0 * x**2 + dot(r, y) * x + k1 * x + dot(s, y)
     return f, spec
 
 
@@ -185,6 +160,11 @@ def cube_root_cubic_form(c: Polynomial) -> Optional[Polynomial]:
     return None
 
 
+def _check_distinct(variables: Sequence[str]) -> None:
+    if len(set(variables)) != len(variables):
+        raise RingError("designated variables must be distinct")
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Symmetric matrix of polynomial entries."""
@@ -205,8 +185,8 @@ class SymMatrix:
 def quad_form_to_matrix(q: Polynomial, variables: Sequence[str]) -> SymMatrix:
     """Unique symmetric matrix M with q = v'Mv over the designated variables.
 
-    Every term of ``q`` must have degree exactly 2 in the designated
-    variables and involve no other geometric variable; parameters may
+    The designated variables must be distinct.  Every term of ``q`` must
+    have degree exactly 2 in the designated variables and involve no other geometric variable; parameters may
     appear freely in the entries.  Otherwise the call raises "not a
     quadratic form" when some term's designated degree is not 2, and
     "touches a geometric variable outside the designated set" when every
@@ -219,6 +199,7 @@ def quad_form_to_matrix(q: Polynomial, variables: Sequence[str]) -> SymMatrix:
     geometric variable exactly when some term of ``q`` holds one outside
     the designated set (distinct terms give distinct terms of ``M_ij``).
     """
+    _check_distinct(variables)
     ctx = q.ctx
     vs = [Polynomial.variable(ctx, name) for name in variables]
     grads = [partial(q, name) for name in variables]
@@ -243,6 +224,7 @@ def quad_form_from_matrix(
     matrix: SymMatrix, variables: Sequence[str], ctx: RingContext
 ) -> Polynomial:
     """Rebuild v'Mv; inverse of :func:`quad_form_to_matrix`."""
+    _check_distinct(variables)
     if len(matrix.entries) != len(variables):
         raise RingError("variable list does not match matrix size")
     vs = [Polynomial.variable(ctx, name) for name in variables]

@@ -188,8 +188,9 @@ def test_symbolic_defect():
     assert symbolic_defect(f).substitute({"Ht": 0}).is_zero
     with pytest.raises(RingError):
         symbolic_defect(Polynomial.variable(CTX3, "x1") ** 3)  # no Ht declared
-    with pytest.raises(RingError):
-        symbolic_defect(f, curvature_name="x1")  # geometric, not parameter
+    ht_geometric = RingContext(("x1", "Ht"), 2)  # declared, but not a parameter
+    with pytest.raises(RingError, match="as a parameter"):
+        symbolic_defect(Polynomial.variable(ht_geometric, "x1") ** 3)
 
 
 def test_symbolic_matches_numeric_defect():

@@ -12,6 +12,7 @@ from cmccheck.cubic import (
     quad_form_to_matrix,
     rational_cube_root,
 )
+from cmccheck.parse import to_text
 from cmccheck.ring import Polynomial, RingContext, RingError
 from oracles import random_coeff, raw, raw_cube_root
 
@@ -19,6 +20,7 @@ CTX2 = RingContext.geometric(2)
 CTX3 = RingContext.geometric(3)
 NOT_QUADRATIC = "not a quadratic form in the designated variables"
 OUTSIDE = "quadratic form touches a geometric variable outside the designated set"
+REPEATED = "designated variables must be distinct"
 
 
 def var(ctx, name):
@@ -31,9 +33,9 @@ def test_generic_cubic_shape_n3():
     assert ctx.geometric_variables == ("x1", "x2", "x3")
     # (n-1)n/2 + 2(n-1) + 3 parameters
     assert len(ctx.parameters) == 10
-    assert spec.matrix_names == (("a_11", "a_12"), ("a_12", "a_22"))
     x, y1, y2 = (var(ctx, v) for v in ("x1", "x2", "x3"))
     a11, a12, a22 = (var(ctx, v) for v in ("a_11", "a_12", "a_22"))
+    assert spec.A == ((a11, a12), (a12, a22))
     r1, r2, s1, s2 = (var(ctx, v) for v in ("r_1", "r_2", "s_1", "s_2"))
     k0, k1 = var(ctx, "k0"), var(ctx, "k1")
     expected = (
@@ -52,7 +54,7 @@ def test_generic_cubic_shape_n3():
 
 def test_generic_cubic_normalization_properties():
     for n in (3, 4, 5):
-        f, spec = generic_cubic(n)
+        f, _ = generic_cubic(n)
         ctx = f.ctx
         origin = {name: Fraction(0) for name in ctx.geometric_variables}
         # value at the origin is zero
@@ -61,16 +63,16 @@ def test_generic_cubic_normalization_properties():
         assert f.homogeneous_part(3) == x**3
         # gradient at the origin is (k1, s_1, ..., s_{n-1})
         grads = [g.substitute(origin) for g in gradient(f)]
-        assert grads[0] == var(ctx, spec.k1_name)
-        for i, name in enumerate(spec.s_names):
-            assert grads[i + 1] == var(ctx, name)
+        assert grads[0] == var(ctx, "k1")
+        for i in range(1, n):
+            assert grads[i] == var(ctx, f"s_{i}")
         # Laplacian at the origin is 2 trace(A) + 2 k0
         trace = sum(
-            (var(ctx, spec.matrix_names[i][i]) for i in range(n - 1)),
+            (var(ctx, f"a_{i}{i}") for i in range(1, n)),
             Polynomial.zero(ctx),
         )
         lap0 = laplacian(f).substitute(origin)
-        assert lap0 == trace * 2 + var(ctx, spec.k0_name) * 2
+        assert lap0 == trace * 2 + var(ctx, "k0") * 2
         assert len(ctx.parameters) == (n - 1) * n // 2 + 2 * (n - 1) + 3
 
 
@@ -88,6 +90,27 @@ def test_generic_cubic_spec_carries_its_quadratic_pieces():
         )
         assert spec.trace == sum((a[i][i] for i in rows), zero)
         assert f.homogeneous_part(2).substitute({"x1": Fraction(0)}) == spec.yAy
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_generic_cubic_roster(n):
+    # The roster, written out by hand: x1..xn, a_ij (i <= j, row by row),
+    # r_i, s_i, k0, k1, Ht.  Every spec atom prints as its roster name.
+    f, spec = generic_cubic(n)
+    m = n - 1
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    upper = [f"a_{i}{j}" for i in range(1, m + 1) for j in range(i, m + 1)]
+    rs = [f"r_{i}" for i in range(1, m + 1)]
+    ss = [f"s_{i}" for i in range(1, m + 1)]
+    assert f.ctx.variables == tuple(xs + upper + rs + ss + ["k0", "k1", "Ht"])
+    assert f.ctx.geometric_count == n
+    atoms = [spec.x, *spec.y, *spec.r, *spec.s, spec.k0, spec.k1, spec.ht]
+    assert [to_text(p) for p in atoms] == xs + rs + ss + ["k0", "k1", "Ht"]
+    grid = [
+        [f"a_{min(i, j)}{max(i, j)}" for j in range(1, m + 1)]
+        for i in range(1, m + 1)
+    ]
+    assert [[to_text(e) for e in row] for row in spec.A] == grid
 
 
 def test_generic_cubic_guard_is_the_largest_exponent_of_the_replay():
@@ -228,6 +251,13 @@ def test_quad_form_rejections():
     with pytest.raises(RingError, match=f"^{OUTSIDE}$"):
         # touches x1, which is geometric but not designated
         quad_form_to_matrix(var(ctx, "x1") * y1**2, ("x2", "x3"))
+    # A repeated name is refused before any other check, both ways.
+    with pytest.raises(RingError, match=f"^{REPEATED}$"):
+        quad_form_to_matrix(var(CTX2, "x1") ** 2, ["x1", "x1"])
+    with pytest.raises(RingError, match=f"^{REPEATED}$"):
+        quad_form_from_matrix(SymMatrix(((1, 0), (0, 1))), ["x1", "x1"], CTX2)
+    with pytest.raises(RingError, match=f"^{REPEATED}$"):
+        quad_form_from_matrix(SymMatrix(((1,),)), ["x1", "x1"], CTX2)
 
 
 def test_equal_quad_forms_raise_the_same_error():

@@ -51,18 +51,18 @@ def test_replay_n4_passes():
 
 def test_cascade_witness_is_the_top_coefficient():
     report = replay(3)
-    f, spec = generic_cubic(3)
+    f, _ = generic_cubic(3)
     ctx = f.ctx
     x = Polynomial.variable(ctx, "x1")
-    ht = Polynomial.variable(ctx, spec.curvature_name)
+    ht = Polynomial.variable(ctx, "Ht")
     assert report.step("cascade-division").witness == ht**2 * x**9 * 729
 
 
 def test_obstruction_witness_is_the_quartic_power():
     report = replay(3)
-    f, spec = generic_cubic(3)
+    f, _ = generic_cubic(3)
     ctx = f.ctx
-    ht = Polynomial.variable(ctx, spec.curvature_name)
+    ht = Polynomial.variable(ctx, "Ht")
     y1, y2 = Polynomial.variable(ctx, "x2"), Polynomial.variable(ctx, "x3")
     a11, a12, a22 = (
         Polynomial.variable(ctx, name) for name in ("a_11", "a_12", "a_22")
@@ -127,9 +127,9 @@ def test_mutation_defect_sign_is_invisible_to_the_chain():
         assert [int(k) for k, _, _ in bounds] == list(range(8, 13)), n
         assert all(float(val) >= int(need) for _, val, need in bounds), n
 
-        f, spec = generic_cubic(n)
+        f, _ = generic_cubic(n)
         ctx = f.ctx
-        diagonal = (spec.matrix_names[i][i] for i in range(n - 1))
+        diagonal = (f"a_{i}{i}" for i in range(1, n))
         trace = sum(
             (Polynomial.variable(ctx, name) for name in diagonal),
             Polynomial.zero(ctx),
@@ -157,7 +157,7 @@ def test_specialized_cubics_never_divide_their_defect():
     # Specializing the parameters to random rationals (nonzero matrix and
     # curvature) must give cubics that fail the divisibility check: this is
     # the concrete consequence the symbolic chain certifies.
-    f, spec = generic_cubic(3)
+    f, _ = generic_cubic(3)
     ctx = f.ctx
     gradsq = grad_norm_sq(f)
     d1 = delta1(f)
@@ -167,11 +167,11 @@ def test_specialized_cubics_never_divide_their_defect():
             name: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             for name in ctx.parameters
         }
-        while all(values[name] == 0 for row in spec.matrix_names for name in row):
-            values[spec.matrix_names[0][0]] = Fraction(rng.randint(1, 4))
-        if values[spec.curvature_name] == 0:
-            values[spec.curvature_name] = Fraction(rng.randint(1, 4))
-        ht = values[spec.curvature_name]
+        while all(values[name] == 0 for name in ("a_11", "a_12", "a_22")):
+            values["a_11"] = Fraction(rng.randint(1, 4))
+        if values["Ht"] == 0:
+            values["Ht"] = Fraction(rng.randint(1, 4))
+        ht = values["Ht"]
         fs = f.substitute(values)
         gs = gradsq.substitute(values)
         ds = d1.substitute(values)
@@ -212,8 +212,8 @@ def test_graded_defect_parts_equal_the_full_defect():
     and the degree-k parts those of the full products."""
     product, piece = replay_module._product, replay_module._piece
     for n in (3, 4):
-        f, spec = generic_cubic(n)
-        ht = Polynomial.variable(f.ctx, spec.curvature_name)
+        f, _ = generic_cubic(n)
+        ht = Polynomial.variable(f.ctx, "Ht")
         zero = Polynomial.zero(f.ctx)
         gradsq, d1 = grad_norm_sq(f), delta1(f)
         gp, dp = gradsq._split(piece), d1._split(piece)
@@ -231,7 +231,7 @@ def test_graded_defect_parts_equal_the_full_defect():
             assert q == _x_filter(full_gsq4.homogeneous_part(k), e.__eq__), (n, k, e)
         assert sum(d1sq.values(), zero) == (d1 * d1).high_part(7), n
         assert gsq6 == _full_product([(gsq4, gp)], _above(7)), n
-        defect = symbolic_defect(f, spec.curvature_name)
+        defect = symbolic_defect(f)
         for k in range(8, 13):
             graded = ht * ht * _part(gsq6, k) - _part(d1sq, k)
             assert graded == defect.homogeneous_part(k), (n, k)
@@ -275,7 +275,7 @@ def test_degree8_slices_are_the_x_degree_filter_of_the_defect(monkeypatch):
         f, spec = generic_cubic(n)
         if mutation:
             f = f - spec.x**3 + spec.x**2 * spec.y[0]
-        parts = symbolic_defect(f, spec.curvature_name).homogeneous_parts()
+        parts = symbolic_defect(f).homogeneous_parts()
         assert _part(dpieces, 8) == _x_filter(parts[8], kept), (n, mutation)
         # The dropped slices are not empty.
         assert not _x_filter(parts[8], lambda e: not kept(e)).is_zero, n
