@@ -2,7 +2,8 @@
 the modules that may read the packed layout.
 
 A name joins ``__all__`` only when the CLI, the replay, ``cmc`` or the
-benchmark calls it (ROADMAP item 7 records the list and its reasons).
+benchmark calls it, or an acceptance criterion reads it (ROADMAP item 9
+states the rule).
 """
 
 import ast
