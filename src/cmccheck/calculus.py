@@ -14,6 +14,7 @@ clears the square roots from the classical mean curvature expression.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List
 
 from .ring import Polynomial, Rational, RingError, as_fraction
@@ -50,12 +51,40 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
     return Polynomial._sum_of_products(u[0].ctx, list(zip(u, v)))
 
 
+def _gns_delta1(f: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """``|grad f|^2`` and ``delta1 f`` from one gradient; the Laplacian is
+    the sum of the gradient's diagonal derivatives."""
+    ctx = f.ctx
+    grad = gradient(f)
+    gns = Polynomial._sum_of_products(ctx, [(g, g) for g in grad])
+    lap = Polynomial.zero(ctx)
+    for g, name in zip(grad, ctx.geometric_variables):
+        lap = lap + partial(g, name)
+    pairs = [(gns, lap * 2)]
+    pairs += zip(grad, [-g for g in gradient(gns)])
+    return gns, Polynomial._sum_of_products(ctx, pairs)
+
+
 def delta1(f: Polynomial) -> Polynomial:
     """2*|grad f|^2 * lap f - grad(f) . grad(|grad f|^2)."""
-    gns = grad_norm_sq(f)
-    pairs = [(gns, laplacian(f) * 2)]
-    pairs += zip(gradient(f), [-g for g in gradient(gns)])
-    return Polynomial._sum_of_products(f.ctx, pairs)
+    return _gns_delta1(f)[1]
+
+
+def _defect(gns: Polynomial, d1: Polynomial, c) -> Polynomial:
+    """``c |grad f|^6 - (delta1 f)^2`` for a rational or polynomial ``c``,
+    in one kernel call that scales the short factor ``|grad f|^2``."""
+    return Polynomial._sum_of_products(gns.ctx, [(gns * gns, gns * c), (d1, -d1)])
+
+
+def _curvature_factor(f: Polynomial, hsq: Rational) -> Fraction:
+    """``4 (n-1)^2 hsq``, after checking ``hsq > 0`` and ``n >= 2``."""
+    hsq = as_fraction(hsq)
+    if hsq <= 0:
+        raise RingError("squared mean curvature must be positive")
+    n = f.ctx.geometric_count
+    if n < 2:
+        raise RingError("defect needs at least two geometric variables")
+    return 4 * (n - 1) ** 2 * hsq
 
 
 def cmc_defect(f: Polynomial, hsq: Rational) -> Polynomial:
@@ -64,15 +93,8 @@ def cmc_defect(f: Polynomial, hsq: Rational) -> Polynomial:
     ``f`` defines an algebraic constant-mean-curvature hypersurface for
     this curvature exactly when ``f`` divides the returned polynomial.
     """
-    hsq = as_fraction(hsq)
-    if hsq <= 0:
-        raise RingError("squared mean curvature must be positive")
-    n = f.ctx.geometric_count
-    if n < 2:
-        raise RingError("defect needs at least two geometric variables")
-    gns = grad_norm_sq(f)
-    d1 = delta1(f)
-    return gns**3 * (4 * (n - 1) ** 2 * hsq) - d1 * d1
+    c = _curvature_factor(f, hsq)
+    return _defect(*_gns_delta1(f), c)
 
 
 def symbolic_defect(f: Polynomial) -> Polynomial:
@@ -82,11 +104,10 @@ def symbolic_defect(f: Polynomial) -> Polynomial:
     ``Ht^2 * |grad f|^6 - (delta1 f)^2`` with ``Ht`` a declared parameter
     of the context, which keeps the whole computation inside one ring.
     """
-    if f.ctx.geometric_count < 2:
+    ctx = f.ctx
+    if ctx.geometric_count < 2:
         raise RingError("defect needs at least two geometric variables")
-    if not f.ctx.is_parameter("Ht"):
+    if "Ht" not in ctx.parameters:
         raise RingError("context must declare 'Ht' as a parameter variable")
-    ht = Polynomial.variable(f.ctx, "Ht")
-    gns = grad_norm_sq(f)
-    d1 = delta1(f)
-    return ht * ht * gns**3 - d1 * d1
+    ht = Polynomial.variable(ctx, "Ht")
+    return _defect(*_gns_delta1(f), ht * ht)

@@ -29,9 +29,10 @@ SCHEMA_VERSION = "1"
 TERM_CAP = 200
 # Upper bounds on dimensions, checked before any ring context is built.
 # ``--vars`` and ``surface --n`` only size the ring.  The sweep cap bounds
-# the rare sample that passes the top-form test and builds its degree-12
-# residues (a cubed dense linear form plus a dense quadratic takes 7 s and
-# 59 MB at n = 8, 23 s and 110 MB at n = 9, on a 2-core Intel Xeon);
+# the rare sample that passes the top-form test and takes its residues
+# modulo f (``check --hsq solve`` on a cubed dense linear form plus a dense
+# quadratic takes 0.6 to 0.8 s and 27 MB at n = 8, 1.9 s and 39 MB at
+# n = 9, 4.2 s and 55 MB at n = 10, as a process on a 2-core Intel Xeon);
 # ``replay --n 10 --json`` takes 2.2 to 3.0 s and 139 MB there.
 MAX_VARS = 64
 MAX_SWEEP_N = 8

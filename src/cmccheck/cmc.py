@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .calculus import cmc_defect, delta1, grad_norm_sq
+from .calculus import _curvature_factor, _defect, _gns_delta1, cmc_defect, grad_norm_sq
 from .divide import divide, divides
 from .ring import Polynomial, Rational, RingContext, RingError, as_fraction
 
@@ -34,11 +35,15 @@ SINGULARITY_WARNING = (
 class CmcReport:
     input: Polynomial
     hsq: Fraction
-    defect: Polynomial
     divisible: bool
     certificate: Optional[Polynomial]
     witness_remainder: Optional[Polynomial]
     warnings: tuple[str, ...]
+
+    @cached_property
+    def defect(self) -> Polynomial:
+        """The defect, formed on first read: a negative verdict never needs it."""
+        return cmc_defect(self.input, self.hsq)
 
 
 def _warnings_for(f: Polynomial) -> tuple[str, ...]:
@@ -48,21 +53,64 @@ def _warnings_for(f: Polynomial) -> tuple[str, ...]:
     return (IRREDUCIBILITY_WARNING, SINGULARITY_WARNING)
 
 
+def _residues(
+    f: Polynomial, gns: Polynomial, d1: Polynomial
+) -> tuple[Polynomial, Polynomial]:
+    """Remainders modulo ``f`` of ``|grad f|^6`` and ``(delta1 f)^2``, given
+    ``gns = |grad f|^2`` and ``d1 = delta1 f``: ``r1 = rem(rem(g g) g)``
+    with ``g = rem(gns)``, and ``r2 = rem(d d)`` with ``d = rem(d1)``.
+    Each product is of remainders, so neither power is formed (see
+    :func:`check_cmc` for why these are the remainders)."""
+    g = divide(gns, f).remainder
+    d = divide(d1, f).remainder
+    r1 = divide(divide(g * g, f).remainder * g, f).remainder
+    r2 = divide(d * d, f).remainder
+    return r1, r2
+
+
 def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
-    """Does ``f`` divide its defect for squared mean curvature ``hsq``?"""
+    """Does ``f`` divide its defect for squared mean curvature ``hsq``?
+
+    The verdict is decided on residues modulo ``f``; the defect is formed
+    only when its quotient, the certificate, is needed.  Write ``rem`` for
+    the remainder of lex division by ``f``.  It is the unique reduced
+    polynomial congruent to its argument modulo ``f``: two reduced
+    polynomials congruent modulo ``f`` differ by a multiple ``q f`` with no
+    term divisible by the lead of ``f``, but the lead of ``q f`` is a
+    multiple of it, so ``q = 0``.  (One polynomial is a Groebner basis of
+    its ideal; Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2 section 6.)  Hence ``rem`` is linear, and
+    ``rem(a b) = rem(rem(a) rem(b))``, since ``a b - rem(a) rem(b)`` lies in
+    the ideal of ``f``.
+
+    With ``G = |grad f|^6``, ``E = (delta1 f)^2`` and ``c = 4 (n-1)^2 hsq``
+    the defect is ``c G - E``, so its remainder is ``c r1 - r2`` with ``r1 =
+    rem(G)`` and ``r2 = rem(E)`` as :func:`_residues` forms them.  That is
+    the very polynomial that dividing the whole defect leaves, so a
+    nonzero ``c r1 - r2`` is the witness of a negative verdict, term for
+    term.  A zero one forms the defect and divides it; :func:`divides`
+    re-multiplies the quotient before the verdict is reported.
+    """
     hsq = as_fraction(hsq)
     deg = f.total_degree()
     if isinstance(deg, float) or deg < 1:
         raise RingError("input polynomial must be nonconstant")
-    defect = cmc_defect(f, hsq)
-    verdict = divides(f, defect)
+    c = _curvature_factor(f, hsq)
+    gns, d1 = _gns_delta1(f)
+    r1, r2 = _residues(f, gns, d1)
+    witness = r1 * c - r2
+    certificate = None
+    if witness.is_zero:
+        verdict = divides(f, _defect(gns, d1, c))
+        if not verdict.divisible:
+            raise RingError("zero residue modulo f, but the defect leaves a remainder")
+        certificate = verdict.quotient
     return CmcReport(
         input=f,
         hsq=hsq,
-        defect=defect,
-        divisible=verdict.divisible,
-        certificate=verdict.quotient,
-        witness_remainder=verdict.remainder,
+        divisible=certificate is not None,
+        certificate=certificate,
+        witness_remainder=None if certificate is not None else witness,
         warnings=_warnings_for(f),
     )
 
@@ -93,11 +141,13 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     divides ``|grad f_d|^2``, of degree ``2(d-1)``, by ``f_d``; random
     dense cubics fail here.
 
-    Otherwise ``f`` divides ``c G - E`` exactly when the reduced residues
-    of ``G`` and ``E`` modulo ``f`` are proportional with the right
-    positive ratio.  Remainders modulo a single divisor are unique under
-    division's fixed lex order, so proportionality of remainders decides
-    the question outright.
+    Otherwise ``f`` divides ``c G - E`` exactly when ``c r1 - r2 = 0``,
+    with ``r1 = rem(G)`` and ``r2 = rem(E)`` the remainders modulo ``f``,
+    each formed from reduced factors by :func:`_residues`.  They are the
+    remainders of ``G`` and ``E`` themselves, and unique, by the argument
+    in :func:`check_cmc`.  So ``f`` is admissible exactly when the two are
+    proportional with a positive ratio, which decides the question
+    outright.
     """
     deg = f.total_degree()
     if isinstance(deg, float) or deg < 1:
@@ -108,10 +158,7 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     top = f.homogeneous_part(int(deg))
     if not divide(grad_norm_sq(top), top).remainder.is_zero:
         return None
-    g6 = grad_norm_sq(f) ** 3
-    d1 = delta1(f)
-    r1 = divide(g6, f).remainder
-    r2 = divide(d1 * d1, f).remainder
+    r1, r2 = _residues(f, *_gns_delta1(f))
     if r1.is_zero:
         if r2.is_zero:
             # Both sides already divisible: every curvature works, so
@@ -232,6 +279,8 @@ def refutation_sweep(
         raise RingError("sweep degree must be 2 or 3")
     rng = random.Random(seed)
     ctx = RingContext.geometric(n)
+    xs = [Polynomial.variable(ctx, name) for name in ctx.geometric_variables]
+    radial = Polynomial._sum_of_products(ctx, [(x, x) for x in xs])
     hits = []
     for i in range(count):
         if degree == 3:
@@ -239,7 +288,7 @@ def refutation_sweep(
         else:
             a = rng.randint(1, coeff_bound)
             b = rng.randint(1, coeff_bound)
-            f = make_surface("sphere", n, Fraction(b, a))[0] * a
+            f = radial * a - b
         hsq = solve_hsq(f)
         if hsq is not None:
             report = check_cmc(f, hsq)

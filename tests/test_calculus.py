@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 from cmccheck.calculus import (
+    _gns_delta1,
     cmc_defect,
     delta1,
     grad_norm_sq,
@@ -17,6 +18,8 @@ from oracles import (
     check_delta1_identity,
     random_point,
     random_polynomial,
+    raw,
+    raw_delta1,
     raw_evaluate,
 )
 
@@ -98,6 +101,16 @@ def test_delta1_on_linear_is_zero():
 def test_delta1_is_twice_p1_laplacian():
     check_delta1_identity(random.Random(23), CTX3, 100)
     check_delta1_identity(random.Random(24), CTXP, 100)
+
+
+def test_gns_delta1_from_one_gradient():
+    rng = random.Random(26)
+    for ctx in (CTX3, CTXP):
+        for _ in range(50):
+            f = random_polynomial(rng, ctx, max_degree=3, max_terms=5)
+            gns, d1 = _gns_delta1(f)
+            assert gns == grad_norm_sq(f)
+            assert raw(d1) == raw_delta1(f)
 
 
 def test_grad_norm_sq_nonnegative_at_points():
@@ -191,6 +204,13 @@ def test_symbolic_defect():
     ht_geometric = RingContext(("x1", "Ht"), 2)  # declared, but not a parameter
     with pytest.raises(RingError, match="as a parameter"):
         symbolic_defect(Polynomial.variable(ht_geometric, "x1") ** 3)
+
+
+def test_symbolic_defect_names_ht_when_it_is_missing():
+    # Not declared at all, or declared as a geometric variable: one message.
+    for ctx in (RingContext(("x1", "x2"), 2), RingContext(("x1", "Ht"), 2)):
+        with pytest.raises(RingError, match="must declare 'Ht' as a parameter"):
+            symbolic_defect(Polynomial.variable(ctx, "x1") ** 3)
 
 
 def test_symbolic_matches_numeric_defect():

@@ -14,7 +14,7 @@ from cmccheck.cmc import (
     refutation_sweep,
     solve_hsq,
 )
-from cmccheck.divide import divide
+from cmccheck.divide import divide, divides
 from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.ring import Polynomial, RingContext, RingError
 from oracles import (
@@ -230,14 +230,120 @@ def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
     assert not dividend.is_zero
     assert dividend.homogeneous_parts().keys() == {4}
     assert divisor == f.homogeneous_part(3)
-    # Inputs whose top form passes still run both residues modulo f.
+    # Inputs whose top form passes then divide only by f: the residues
+    # modulo f, reduced before each product.
     for f, expected in (
         (parse_polynomial("x1^3 + x2^2 - 1", ctx), None),
         (sphere(3, 4)[0], Fraction(1, 4)),
     ):
         calls.clear()
         assert solve_hsq(f) == expected
-        assert [d for _, d in calls] == [f.homogeneous_part(f.total_degree()), f, f]
+        first, *rest = [d for _, d in calls]
+        assert first == f.homogeneous_part(f.total_degree())
+        assert rest and all(d == f for d in rest)
+
+
+def _translated_quadric(rng, kind, n):
+    """A scaled, translated sphere or cylinder and its curvature."""
+    f, hsq, _ = make_surface(kind, n, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    ctx = f.ctx
+    shift = {
+        x: Polynomial.variable(ctx, x) + random_coeff(rng, 3)
+        for x in ctx.geometric_variables
+    }
+    return f.substitute(shift) * random_coeff(rng), hsq
+
+
+def _check_cmc_cases(rng):
+    """(f, hsq) pairs: translated quadrics at their curvature and off it,
+    random cubics, cubed linear forms plus a quadratic, and linear forms."""
+    for n in (2, 3, 4):
+        ctx = RingContext.geometric(n)
+        xs = [Polynomial.variable(ctx, v) for v in ctx.geometric_variables]
+        trial = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        for kind in ("sphere", "cylinder"):
+            f, hsq = _translated_quadric(rng, kind, n)
+            yield f, hsq
+            yield f, hsq * Fraction(rng.randint(2, 5), rng.randint(1, 3)) + 1
+        yield _random_cubic(rng, ctx, 5), trial
+        line = sum((x * rng.randint(-3, 3) for x in xs[1:]), xs[0] * rng.randint(1, 3))
+        yield line**3 + random_homogeneous(rng, ctx, 2, 3), trial
+        yield line**3, trial
+        yield random_homogeneous(rng, ctx, 1) + rng.randint(-3, 3), trial
+
+
+def test_check_cmc_matches_dividing_the_whole_defect():
+    rng = random.Random(61)
+    verdicts = set()
+    for f, hsq in _check_cmc_cases(rng):
+        report = check_cmc(f, hsq)
+        expected = divides(f, cmc_defect(f, hsq))
+        assert report.divisible == expected.divisible, (f, hsq)
+        assert report.certificate == expected.quotient, (f, hsq)
+        assert report.witness_remainder == expected.remainder, (f, hsq)
+        verdicts.add(report.divisible)
+    assert verdicts == {True, False}
+
+
+def test_negative_check_never_forms_the_defect(monkeypatch):
+    """A negative verdict divides only products of remainders.  On quadrics
+    each has degree below ``6(d-1)``; on a cubic whose lead lies in its top
+    form the last product of ``r1`` reaches degree ``6(d-1)`` (its top part
+    is the remainder of ``|grad f_d|^6`` modulo ``f_d``), but it has fewer
+    terms than the defect."""
+    dividends = []
+
+    def spy(g, f):
+        dividends.append(g)
+        return divide(g, f)
+
+    def refuse(*args):
+        raise AssertionError("negative verdict formed or divided the defect")
+
+    monkeypatch.setattr("cmccheck.cmc.divide", spy)
+    monkeypatch.setattr("cmccheck.cmc.divides", refuse)
+    monkeypatch.setattr("cmccheck.cmc._defect", refuse)
+    rng = random.Random(67)
+    ctx = RingContext.geometric(3)
+    x1, x2, x3 = (Polynomial.variable(ctx, v) for v in ctx.variables)
+    cases = []
+    for kind in ("sphere", "cylinder"):
+        for n in (2, 3, 4):
+            f, hsq = _translated_quadric(rng, kind, n)
+            cases.append((f, hsq * 2))
+    cubics = [_random_cubic(rng, ctx, 5) for _ in range(3)]
+    cubics.append((x1 + 2 * x2 - x3) ** 3 + random_homogeneous(rng, ctx, 2, 4))
+    cases += [(f, Fraction(1, 3)) for f in cubics]
+    for f, hsq in cases:
+        dividends.clear()
+        assert not check_cmc(f, hsq).divisible
+        assert len(dividends) == 5
+        if f.total_degree() == 2:
+            assert max(d.total_degree() for d in dividends) < 6
+        assert max(len(d) for d in dividends) < len(cmc_defect(f, hsq))
+
+
+def test_report_defect_is_formed_on_first_read(monkeypatch):
+    f, hsq, _ = sphere(3, 4)
+    report = check_cmc(f, hsq * 3)
+    formed = []
+
+    def spy(g, h):
+        formed.append((g, h))
+        return cmc_defect(g, h)
+
+    monkeypatch.setattr("cmccheck.cmc.cmc_defect", spy)
+    assert report.defect == cmc_defect(f, hsq * 3)
+    assert report.defect is report.defect
+    assert formed == [(f, hsq * 3)]
+
+
+def test_zero_residue_with_a_remainder_is_an_error(monkeypatch):
+    # The residues decide; a full division that disagrees is a kernel fault.
+    f, hsq, _ = sphere(3)
+    monkeypatch.setattr("cmccheck.cmc._defect", lambda gns, d1, c: gns)
+    with pytest.raises(RingError, match="zero residue"):
+        check_cmc(f, hsq)
 
 
 def test_top_form_test_agrees_with_its_cube():
