@@ -242,7 +242,7 @@ class _Parser:
         index = self.ctx._index.get(tok)
         if index is None:
             self.fail(f"undeclared variable {tok!r}", at)
-        return (1 << self.ctx._shifts[index], 1, 1)
+        return (self.ctx._units[index], 1, 1)
 
 
 def parse_polynomial(src: str, ctx: RingContext) -> Polynomial:
@@ -261,8 +261,9 @@ def to_text(f: Polynomial) -> str:
     if not terms:
         return "0"
     # A monomial is read from its top set bit down, one nonzero field at a
-    # time; each field's ``name^e`` is formatted once per call.
-    width = ctx._mask.bit_length()
+    # time, once its degree field is shifted off; each field's ``name^e``
+    # is formatted once per call.
+    width, low = ctx._mask.bit_length(), ctx._degree_mask.bit_length()
     names = ctx.variables[::-1]
     powers: dict[int, str] = {}
     parts = []
@@ -280,6 +281,7 @@ def to_text(f: Polynomial) -> str:
                 raise RingError(
                     f"a coefficient of about {digits} digits is too long to print"
                 ) from None
+        m >>= low
         while m:
             shift = m.bit_length() - 1
             shift -= shift % width

@@ -2,7 +2,7 @@
 
 A :class:`RingContext` fixes an ordered variable roster.  The first
 ``geometric_count`` names are coordinate variables; the rest are formal
-parameters.  Degree, homogeneity and valuation are always weighted so that
+parameters.  Degree and homogeneity are always weighted so that
 parameters count for zero: a monomial's degree is the sum of its exponents
 over the coordinate block only.  This is what makes "homogeneous part of
 degree k" meaningful for expressions whose coefficients are themselves
@@ -23,6 +23,16 @@ Internal layout (read only by this module, :mod:`cmccheck.divide` and
   set exactly when some exponent of ``lead`` exceeds that of ``m`` (the
   borrow test); and an exponent above the guard is caught by adding
   ``guard bit - 1 - guard`` to each field and testing the guard bits.
+  Below the variable fields, a monomial carries its geometric degree, read
+  as ``m & _degree_mask``; monomials are built from ``_units`` (``1 <<
+  shift``, plus 1 there for a geometric variable), so int arithmetic keeps
+  it right.  Equal variable fields give equal degrees, so the lex order is
+  unchanged and ``max(f._terms)`` is still the lex lead.  The degree field
+  borrows only when ``deg(m) < deg(lead)``, and then some geometric field
+  already borrows, so the borrow test holds.  The field is
+  ``(geometric_count * exponent_guard).bit_length() + 1`` bits wide, so the
+  degree of a product of two in-guard monomials never carries into the
+  variable fields, which alone ``_lift`` and ``_borrow`` cover.
 * **Integer coefficients.**  A polynomial holds integer numerators over one
   positive denominator, reduced so that the denominator and the numerators
   share no factor; that form is canonical, so equality compares dicts.
@@ -55,7 +65,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from operator import neg as _neg, or_ as _or
 from typing import (
     Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union,
@@ -139,15 +148,20 @@ class RingContext:
             raise RingError("exponent guard must be positive")
         # The packed layout.  These are plain attributes, not dataclass
         # fields, so they take no part in equality, hashing or repr.
-        width = self.exponent_guard.bit_length() + 1
+        g, width = self.geometric_count, self.exponent_guard.bit_length() + 1
+        # The geometric degree fills the ``low`` bits below the variable
+        # fields: a geometric variable's unit adds 1 there, a parameter's 0.
+        low = (g * self.exponent_guard).bit_length() + 1
         nvars = len(self.variables)
-        shifts = tuple(width * (nvars - 1 - i) for i in range(nvars))
+        shifts = tuple(low + width * (nvars - 1 - i) for i in range(nvars))
         ones = sum(1 << s for s in shifts)
         guard_bit = 1 << (width - 1)
         layout = {
             "_index": {name: i for i, name in enumerate(self.variables)},
             "_shifts": shifts,
+            "_units": tuple((1 << s) + (i < g) for i, s in enumerate(shifts)),
             "_mask": (1 << width) - 1,
+            "_degree_mask": (1 << low) - 1,
             "_ones": ones,
             "_borrow": ones * guard_bit,
             "_lift": ones * (guard_bit - 1 - self.exponent_guard),
@@ -211,7 +225,7 @@ class RingContext:
                 raise ExponentLimitError(
                     f"exponent {e} exceeds guard {self.exponent_guard}"
                 )
-        return sum(e << s for e, s in zip(mono, self._shifts))
+        return sum(e * u for e, u in zip(mono, self._units))
 
     def _unpack(self, m: int) -> tuple[int, ...]:
         mask = self._mask
@@ -247,21 +261,6 @@ class RingContext:
             return -sum(fields), fields
 
         return key
-
-    def _degrees(self, monos: Collection[int]) -> Iterator[int]:
-        """Geometric degree of each packed monomial of ``monos``, in order."""
-        g = self.geometric_count
-        if not g:
-            return repeat(0, len(monos))
-        base = self._shifts[g - 1]
-        # The coordinate block ``m >> base`` read modulo ``2**width - 1`` is
-        # the sum of its fields, exactly when that sum is below the modulus;
-        # the OR of all monomials bounds every field.
-        modulus = self._mask
-        if sum(self._unpack(reduce(_or, monos, 0))[:g]) < modulus:
-            return map(modulus.__rmod__, map(base.__rrshift__, monos))
-        mask, shifts = self._mask, self._shifts[:g]
-        return (sum((m >> s) & mask for s in shifts) for m in monos)
 
 
 def _check_power_bits(exponent: int, largest: int) -> None:
@@ -362,7 +361,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ctx: RingContext, name: str) -> "Polynomial":
-        return cls._from_ints(ctx, {1 << ctx._shifts[ctx.index(name)]: 1})
+        return cls._from_ints(ctx, {ctx._units[ctx.index(name)]: 1})
 
     # ------------------------------------------------------------------
     # inspection
@@ -404,20 +403,13 @@ class Polynomial:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""
         if not self._terms:
             return NEG_INF
-        return max(self.ctx._degrees(self._terms))
+        return max(map(self.ctx._degree_mask.__and__, self._terms))
 
     def degree_in(self, name: str) -> Union[int, float]:
         i = self.ctx.index(name)
         if not self._terms:
             return NEG_INF
         return max(self.ctx._field(m, i) for m in self._terms)
-
-    def valuation(self, name: str) -> Union[int, float]:
-        """Minimum exponent of ``name`` over all terms; POS_INF for zero."""
-        i = self.ctx.index(name)
-        if not self._terms:
-            return POS_INF
-        return min(self.ctx._field(m, i) for m in self._terms)
 
     def _split(self, key: Callable[[int, int], object]) -> dict:
         """The terms grouped by ``key(degree, x1-degree)`` in one pass, one
@@ -426,7 +418,8 @@ class Polynomial:
         ctx, terms = self.ctx, self._terms
         top = ctx._shifts[0] if ctx._shifts else 0
         split: dict = {}
-        keys = map(key, ctx._degrees(terms), map(top.__rrshift__, terms))
+        degree = ctx._degree_mask.__and__
+        keys = map(key, map(degree, terms), map(top.__rrshift__, terms))
         for (m, c), g in zip(terms.items(), keys):
             if g is not None:
                 split.setdefault(g, {})[m] = c
@@ -592,7 +585,7 @@ class Polynomial:
     def _derivative(self, i: int) -> "Polynomial":
         """Partial derivative in the ``i``-th variable."""
         ctx = self.ctx
-        unit = 1 << ctx._shifts[i]
+        unit = ctx._units[i]
         terms = {}
         for m, c in self._terms.items():
             e = ctx._field(m, i)
@@ -637,7 +630,7 @@ class Polynomial:
             for i, val in polys.items():
                 e = ctx._field(mono, i)
                 if e:
-                    mono -= e << ctx._shifts[i]
+                    mono -= e * ctx._units[i]
                     piece = cache.get((i, e))
                     if piece is None:
                         piece = val**e

@@ -70,8 +70,8 @@ def test_readme_library_example_runs(capsys):
 # printing packed terms) read it; every other module goes through the
 # Polynomial API, ``_split`` and ``_sum_of_products`` included.
 LAYOUT = {
-    "_terms", "_den", "_shifts", "_mask", "_borrow", "_lift", "_pack",
-    "_unpack", "_field", "_degrees", "_check_packed", "_check_all_packed",
+    "_terms", "_den", "_shifts", "_units", "_mask", "_degree_mask", "_borrow",
+    "_lift", "_pack", "_unpack", "_field", "_check_packed", "_check_all_packed",
     "_sort_key", "_from_ints",
 }
 LAYOUT_MODULES = {"ring.py", "divide.py", "parse.py"}

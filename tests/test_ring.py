@@ -4,7 +4,12 @@ import random
 import pytest
 from fractions import Fraction
 
+from cmccheck.calculus import delta1, grad_norm_sq, partial
+from cmccheck.cubic import generic_cubic
+from cmccheck.divide import divide
+from cmccheck.parse import parse_polynomial
 from cmccheck.ring import (
+    DEFAULT_EXPONENT_GUARD,
     MAX_POWER_BITS,
     ContextMismatchError,
     ExponentLimitError,
@@ -143,13 +148,11 @@ def test_scalar_coercion_both_sides():
 def test_degree_and_sentinels():
     zero = Polynomial.zero(CTX3)
     assert zero.total_degree() == -math.inf
-    assert zero.valuation("x1") == math.inf
-    assert zero.total_degree() < 0 < zero.valuation("x1")
+    assert zero.total_degree() < 0
     assert Polynomial.constant(CTX3, 7).total_degree() == 0
     f = var(CTX3, "x1") ** 2 * var(CTX3, "x2")
     assert f.total_degree() == 3
     assert f.degree_in("x1") == 2
-    assert f.valuation("x1") == 2 and f.valuation("x3") == 0
 
 
 def test_parameters_carry_no_degree():
@@ -472,6 +475,76 @@ def test_degrees_beyond_one_exponent_field():
     assert f.homogeneous_part(35) == top
     assert f.high_part(10) == top
     assert f.homogeneous_part(10) == Polynomial(ctx, {(10, 0, 0, 0): 1})
+
+
+def _check_degree_field(p):
+    """``total_degree()`` and the keys of ``homogeneous_parts()`` read the
+    degree the packed monomials carry; it must equal the sum of the
+    geometric exponents that ``terms()`` reports."""
+    g = p.ctx.geometric_count
+    by_degree: dict = {}
+    for mono, c in p.terms():
+        by_degree.setdefault(sum(mono[:g]), {})[mono] = c
+    assert p.total_degree() == max(by_degree, default=-math.inf)
+    assert p.homogeneous_parts() == {
+        d: Polynomial(p.ctx, terms) for d, terms in by_degree.items()
+    }
+    return p
+
+
+def _every_monomial_path(ctx, p, q, name):
+    """The output of every path that builds a monomial, from the
+    multi-term polynomials ``p`` and ``q`` and the variable ``name``."""
+    x = Polynomial.variable(ctx, name)
+    bound = ctx.variables[-1]
+    result = divide(p, q + x)
+    return [
+        x, x * p, p * x**2, p * q, p**2, (x * 3) ** 3,
+        partial(p, name), partial(p, bound),
+        p.substitute({name: 0}), p.substitute({bound: Fraction(1, 2)}),
+        p.substitute({name: q, bound: x + 1}),
+        result.quotient, result.remainder,
+    ]
+
+
+def test_the_degree_field_is_the_sum_of_the_geometric_exponents():
+    rng = random.Random(29)
+    for _ in range(20):
+        p = random_polynomial(rng, CTXP, max_degree=3, max_terms=5)
+        q = random_polynomial(rng, CTXP, max_degree=2, max_terms=4)
+        built = [
+            Polynomial(CTXP, {(2, 1, 3, 0): 2, (0, 1, 1, 1): 1, (0, 0, 2, 2): 5}),
+            parse_polynomial("3*x1^2*a^3 - x2*(x1 + a)^2 + (2*x2*b)^3 + b^4", CTXP),
+            *_every_monomial_path(CTXP, p, q, rng.choice(CTXP.variables)),
+        ]
+        for r in built:
+            _check_degree_field(r)
+    # The replay's 5-bit ring at n = 10: the geometric fields of the OR of
+    # all monomials of ``delta1 f`` sum past what one 5-bit field holds.
+    f, spec = generic_cubic(10)
+    gns, d1 = grad_norm_sq(f), delta1(f)
+    for r in (gns, d1, *_every_monomial_path(f.ctx, f, spec.x + spec.y[0], "x2")):
+        _check_degree_field(r)
+    # The widest degree: every field of 64 variables at the default guard.
+    ctx = RingContext.geometric(64)
+    assert 64 * DEFAULT_EXPONENT_GUARD == 4_194_240
+    top = Polynomial(ctx, {(DEFAULT_EXPONENT_GUARD,) * 64: 1})
+    text = "*".join(f"x{i}^{DEFAULT_EXPONENT_GUARD}" for i in range(1, 65))
+    for r in (top, parse_polynomial(text, ctx), parse_polynomial(f"({text}) + 1", ctx)):
+        assert _check_degree_field(r).total_degree() == 4_194_240
+        assert r.homogeneous_part(4_194_240) == top
+    with pytest.raises(ExponentLimitError):
+        top * Polynomial.variable(ctx, "x64")
+
+
+def test_a_context_without_variables():
+    ctx = RingContext((), 0)
+    c = Polynomial.constant(ctx, Fraction(-3, 2))
+    assert str(c) == "-3/2"
+    assert c.total_degree() == 0
+    assert c.homogeneous_parts() == {0: c}
+    assert c * c * 4 == Polynomial.constant(ctx, 9)
+    assert str(c * Polynomial.constant(ctx, 2)) == "-3"
 
 
 def _random_pairs(rng, ctx):
