@@ -401,3 +401,30 @@ def test_closed_stdout_exits_quietly_with_the_command_code():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr.decode()) == (code, ""), argv
+
+
+# The command line's exit code 2 and stderr on the inputs the library
+# refuses (tests/test_cmc.py pins the library's messages on the same ones).
+REFUSED_CHECKS = [
+    (["5", "--vars", "3", "--hsq", "1"], "input polynomial must be nonconstant"),
+    (["0", "--vars", "3", "--hsq", "1"], "input polynomial must be nonconstant"),
+    (["5", "--vars", "3", "--hsq", "solve"], "input polynomial must be nonconstant"),
+    (["0", "--vars", "3", "--hsq", "solve"], "input polynomial must be nonconstant"),
+    (["5", "--vars", "3", "--hsq", "-1"], "input polynomial must be nonconstant"),
+    (["x1^2 - 1", "--vars", "1", "--hsq", "1"],
+     "defect needs at least two geometric variables"),
+    (["x1^2 - 1", "--vars", "1", "--hsq", "solve"],
+     "defect needs at least two geometric variables"),
+    (["x1^2 - 1", "--vars", "1", "--hsq", "-1"],
+     "squared mean curvature must be positive"),
+    ([SPHERE, "--vars", "3", "--hsq", "0"], "squared mean curvature must be positive"),
+    ([SPHERE, "--vars", "3", "--hsq", "-1"], "squared mean curvature must be positive"),
+    ([SPHERE, "--vars", "3", "--hsq", "0", "--json"],
+     "squared mean curvature must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_CHECKS,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_CHECKS])
+def test_check_refusals_exit_2_with_their_message(capsys, argv, message):
+    assert run(capsys, "check", *argv) == (2, "", f"error: {message}\n")

@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq
+from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cmc import (
     IRREDUCIBILITY_WARNING,
     SINGULARITY_WARNING,
@@ -498,3 +498,60 @@ def test_random_sphere_points_certify_dividend():
         assert raw_evaluate(report.defect, point) == (
             raw_evaluate(report.certificate, point) * raw_evaluate(f, point)
         )
+
+
+# Each entry point's outcome on the inputs it must refuse: the exception
+# type and exact message, or "ok" where it returns.  The order of the
+# checks shows too: a constant is refused before its curvature is read,
+# and a one-variable input with hsq <= 0 is refused for its curvature.
+REFUSALS = {
+    # label: (variables, polynomial, hsq)
+    "constant": (3, "5", 1),
+    "zero": (3, "0", 1),
+    "one-variable": (1, "x1^2 - 1", 1),
+    "hsq-zero": (3, "x1^2 + x2^2 + x3^2 - 1", 0),
+    "hsq-negative": (3, "x1^2 + x2^2 + x3^2 - 1", -1),
+    "constant-hsq-negative": (3, "5", -1),
+    "one-variable-hsq-negative": (1, "x1^2 - 1", -1),
+}
+NONCONSTANT = "RingError: input polynomial must be nonconstant"
+TWO_VARIABLES = "RingError: defect needs at least two geometric variables"
+POSITIVE = "RingError: squared mean curvature must be positive"
+NO_HT = "RingError: context must declare 'Ht' as a parameter variable"
+REFUSED = {
+    # label: (check_cmc, solve_hsq, cmc_defect, symbolic_defect with Ht,
+    #         symbolic_defect without Ht)
+    "constant": (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT),
+    "zero": (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT),
+    "one-variable": (TWO_VARIABLES, TWO_VARIABLES, TWO_VARIABLES, TWO_VARIABLES,
+                     TWO_VARIABLES),
+    "hsq-zero": (POSITIVE, "ok", POSITIVE, "ok", NO_HT),
+    "hsq-negative": (POSITIVE, "ok", POSITIVE, "ok", NO_HT),
+    "constant-hsq-negative": (NONCONSTANT, NONCONSTANT, POSITIVE, "ok", NO_HT),
+    "one-variable-hsq-negative": (POSITIVE, TWO_VARIABLES, POSITIVE, TWO_VARIABLES,
+                                  TWO_VARIABLES),
+}
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("label", list(REFUSALS))
+def test_refusal_messages_are_pinned(label):
+    n, text, hsq = REFUSALS[label]
+    f = parse_polynomial(text, RingContext.geometric(n))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    g = parse_polynomial(text, RingContext.with_parameters(names, ["Ht"]))
+    got = (
+        _outcome(check_cmc, f, hsq),
+        _outcome(solve_hsq, f),
+        _outcome(cmc_defect, f, hsq),
+        _outcome(symbolic_defect, g),
+        _outcome(symbolic_defect, f),
+    )
+    assert got == REFUSED[label]
