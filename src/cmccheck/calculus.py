@@ -52,15 +52,11 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
 
 
 def _gns_delta1(f: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """``|grad f|^2`` and ``delta1 f`` from one gradient; the Laplacian is
-    the sum of the gradient's diagonal derivatives."""
+    """``|grad f|^2`` and ``delta1 f`` from one gradient."""
     ctx = f.ctx
     grad = gradient(f)
     gns = Polynomial._sum_of_products(ctx, [(g, g) for g in grad])
-    lap = Polynomial.zero(ctx)
-    for g, name in zip(grad, ctx.geometric_variables):
-        lap = lap + partial(g, name)
-    pairs = [(gns, lap * 2)]
+    pairs = [(gns, laplacian(f) * 2)]
     pairs += zip(grad, [-g for g in gradient(gns)])
     return gns, Polynomial._sum_of_products(ctx, pairs)
 

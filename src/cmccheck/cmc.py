@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .calculus import _curvature_factor, _defect, _gns_delta1, cmc_defect, grad_norm_sq
+from .calculus import _curvature_factor, _defect, _gns_delta1, dot, grad_norm_sq
 from .divide import divide, divides
 from .ring import Polynomial, Rational, RingContext, RingError, as_fraction
 
@@ -40,15 +39,9 @@ class CmcReport:
     witness_remainder: Optional[Polynomial]
     warnings: tuple[str, ...]
 
-    @cached_property
-    def defect(self) -> Polynomial:
-        """The defect, formed on first read: a negative verdict never needs it."""
-        return cmc_defect(self.input, self.hsq)
-
 
 def _warnings_for(f: Polynomial) -> tuple[str, ...]:
-    deg = f.total_degree()
-    if isinstance(deg, float) or deg <= 1:
+    if f.total_degree() <= 1:
         return ()
     return (IRREDUCIBILITY_WARNING, SINGULARITY_WARNING)
 
@@ -92,8 +85,7 @@ def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
     re-multiplies the quotient before the verdict is reported.
     """
     hsq = as_fraction(hsq)
-    deg = f.total_degree()
-    if isinstance(deg, float) or deg < 1:
+    if f.total_degree() < 1:
         raise RingError("input polynomial must be nonconstant")
     c = _curvature_factor(f, hsq)
     gns, d1 = _gns_delta1(f)
@@ -150,12 +142,11 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     outright.
     """
     deg = f.total_degree()
-    if isinstance(deg, float) or deg < 1:
+    if deg < 1:
         raise RingError("input polynomial must be nonconstant")
-    n = f.ctx.geometric_count
-    if n < 2:
-        raise RingError("defect needs at least two geometric variables")
-    top = f.homogeneous_part(int(deg))
+    # 4 (n-1)^2, checked before the top-form test so that n < 2 is refused.
+    c = _curvature_factor(f, 1)
+    top = f.homogeneous_part(deg)
     if not divide(grad_norm_sq(top), top).remainder.is_zero:
         return None
     r1, r2 = _residues(f, *_gns_delta1(f))
@@ -172,7 +163,7 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     ratio = c2 / r1.coefficient(lead)
     if ratio <= 0 or r1 * ratio != r2:
         return None
-    return ratio / (4 * (n - 1) ** 2)
+    return ratio / c
 
 
 def make_surface(
@@ -196,12 +187,12 @@ def make_surface(
     ctx = RingContext.geometric(n)
     xs = [Polynomial.variable(ctx, name) for name in ctx.geometric_variables]
     if kind == "sphere":
-        radial = sum((v * v for v in xs), Polynomial.zero(ctx))
+        radial = dot(xs, xs)
         f = radial - rsq
         certificate = radial**2 * (Fraction(256) * (n - 1) ** 2 / rsq)
         return f, Fraction(1) / rsq, certificate
     if kind == "cylinder":
-        radial = xs[0] * xs[0] + xs[1] * xs[1]
+        radial = dot(xs[:2], xs[:2])
         f = radial - rsq
         certificate = radial**2 * (Fraction(256) / rsq)
         return f, Fraction(1) / ((n - 1) ** 2 * rsq), certificate
@@ -280,7 +271,7 @@ def refutation_sweep(
     rng = random.Random(seed)
     ctx = RingContext.geometric(n)
     xs = [Polynomial.variable(ctx, name) for name in ctx.geometric_variables]
-    radial = Polynomial._sum_of_products(ctx, [(x, x) for x in xs])
+    radial = dot(xs, xs)
     hits = []
     for i in range(count):
         if degree == 3:

@@ -54,6 +54,7 @@ x-axis identity catches it with residual ``2592 trace(A)^2 x^8``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -66,7 +67,7 @@ from .cubic import (
     quad_form_to_matrix,
 )
 from .divide import divide
-from .ring import POS_INF, ExponentLimitError, Polynomial, RingError
+from .ring import ExponentLimitError, Polynomial, RingError
 
 MUTATIONS = ("cubic-part", "defect-sign")
 
@@ -149,16 +150,6 @@ def _expected_delta1_rest(spec: GenericCubicSpec) -> Polynomial:
     ])
 
 
-def _exact_quotient(
-    dividend: Polynomial, divisor: Polynomial
-) -> tuple[Polynomial, Polynomial]:
-    """Lex quotient and remainder, with the identity re-checked."""
-    res = divide(dividend, divisor)
-    if res.quotient * divisor + res.remainder != dividend:
-        raise RingError("cascade division produced an inconsistent identity")
-    return res.quotient, res.remainder
-
-
 def _step(name: str, residual: Polynomial, detail: str,
           witness: Optional[Polynomial] = None) -> ReplayStep:
     """The record of a step that passes exactly when its residual is zero;
@@ -201,7 +192,7 @@ def _defect_key(k: int, e: int) -> bool:
 def _valuation(pieces: dict, k: int) -> Union[int, float]:
     """The x1-valuation of the degree-``k`` part: the least x1-degree of
     its nonzero pieces."""
-    return min((e for d, e in pieces if d == k), default=POS_INF)
+    return min((e for d, e in pieces if d == k), default=math.inf)
 
 
 def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
@@ -306,7 +297,10 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             dividend = Polynomial._sum_of_products(ctx, [
                 (q, one) for (d, _), q in dpieces.items() if d == k
             ] + [(p[k - j], -fj) for j, fj in ((2, f2), (1, f1)) if k - j in p])
-            p[k - 3], rem = _exact_quotient(dividend, f3)
+            res = divide(dividend, f3)
+            if res.quotient * f3 + res.remainder != dividend:
+                raise RingError("cascade division produced an inconsistent identity")
+            p[k - 3], rem = res.quotient, res.remainder
             if k == 12 and rem.is_zero:
                 rem = p[9] - ht2 * x**9 * 729
             if cascade_residual.is_zero:

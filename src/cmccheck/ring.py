@@ -76,9 +76,6 @@ Rational = Union[int, Fraction]
 #: callers can write ``f.total_degree() <= 2`` without special-casing zero.
 NEG_INF = -math.inf
 
-#: Valuation reported for the zero polynomial (vacuous minimum).
-POS_INF = math.inf
-
 #: Per-variable exponent cap.  Exponents are unbounded in principle; the
 #: guard exists to turn runaway symbolic blowups into a clean error instead
 #: of an out-of-memory kill.
@@ -203,9 +200,6 @@ class RingContext:
             raise UnknownVariableError(
                 f"variable {name!r} is not declared in this ring context"
             ) from None
-
-    def is_parameter(self, name: str) -> bool:
-        return self.index(name) >= self.geometric_count
 
     # ------------------------------------------------------------------
     # packed monomials (see the module docstring)

@@ -1,9 +1,12 @@
-"""The library surface: the decided ``__all__``, the README's example and
-the modules that may read the packed layout.
+"""The library surface: the decided ``__all__``, the README's example, the
+API rule and the modules that may read the packed layout.
 
-A name joins ``__all__`` only when the CLI, the replay, ``cmc`` or the
-benchmark calls it, or an acceptance criterion reads it (ROADMAP item 9
-states the rule).
+The API rule (ROADMAP item 9): every public function, class, method and
+property in ``src/cmccheck`` is read outside its own definition, in
+``src/``, in ``bench/``, or in ``tests/test_acceptance.py`` and
+``tests/oracles.py``.  A method or property counts only when it is read as
+an attribute.  The ``cmd_*`` handlers are exempt: the parser dispatches
+them by name.
 """
 
 import ast
@@ -11,6 +14,8 @@ import re
 from pathlib import Path
 
 import cmccheck
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SURFACE = [
     "CmcReport",
@@ -55,8 +60,47 @@ def test_all_is_the_decided_surface():
     assert missing == []
 
 
+READERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py")),
+           ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
+
+
+def _public_definitions(tree):
+    """``(name, qualified name, node)`` for each public top-level function
+    and class, and each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        yield item.name, f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    """The API rule of the module docstring, read by name: a read of a
+    method is any attribute read of that name."""
+    names, attrs = {}, {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.setdefault(node.attr, []).append((path, node.lineno))
+    unread = []
+    for path in sorted((ROOT / "src" / "cmccheck").glob("*.py")):
+        for name, qualified, node in _public_definitions(ast.parse(path.read_text())):
+            reads = attrs.get(name, [])
+            if "." not in qualified:
+                reads = reads + names.get(name, [])
+            outside = [(p, line) for p, line in reads
+                       if p != path or not node.lineno <= line <= node.end_lineno]
+            if not outside and not name.startswith("cmd_"):
+                unread.append(qualified)
+    assert unread == [], f"public but read nowhere outside their definitions: {unread}"
+
+
 def test_readme_library_example_runs(capsys):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     match = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme.read_text(),
                       re.M | re.S)
     assert match, "README.md has no Library code block"

@@ -39,7 +39,7 @@ def test_sphere_is_algebraically_cmc():
             assert report.divisible
             assert report.certificate == cert
             assert report.witness_remainder is None
-            assert report.certificate * f == report.defect
+            assert report.certificate * f == cmc_defect(f, hsq)
 
 
 def test_cylinder_is_algebraically_cmc():
@@ -60,7 +60,7 @@ def test_plane_has_no_admissible_curvature():
     for trial in (Fraction(1), Fraction(1, 7), Fraction(5)):
         report = check_cmc(f, trial)
         assert not report.divisible
-        assert report.defect.total_degree() == 0
+        assert cmc_defect(f, trial).total_degree() == 0
 
 
 def test_warnings_only_on_nonlinear_inputs():
@@ -323,21 +323,6 @@ def test_negative_check_never_forms_the_defect(monkeypatch):
         assert max(len(d) for d in dividends) < len(cmc_defect(f, hsq))
 
 
-def test_report_defect_is_formed_on_first_read(monkeypatch):
-    f, hsq, _ = sphere(3, 4)
-    report = check_cmc(f, hsq * 3)
-    formed = []
-
-    def spy(g, h):
-        formed.append((g, h))
-        return cmc_defect(g, h)
-
-    monkeypatch.setattr("cmccheck.cmc.cmc_defect", spy)
-    assert report.defect == cmc_defect(f, hsq * 3)
-    assert report.defect is report.defect
-    assert formed == [(f, hsq * 3)]
-
-
 def test_zero_residue_with_a_remainder_is_an_error(monkeypatch):
     # The residues decide; a full division that disagrees is a kernel fault.
     f, hsq, _ = sphere(3)
@@ -492,10 +477,11 @@ def test_random_sphere_points_certify_dividend():
     # certificate * f == defect holds as polynomials, hence at any point
     f, hsq, _ = sphere(4, 3)
     report = check_cmc(f, hsq)
+    defect = cmc_defect(f, hsq)
     rng = random.Random(47)
     for _ in range(25):
         point = random_point(rng, f.ctx, bound=4, denom=3)
-        assert raw_evaluate(report.defect, point) == (
+        assert raw_evaluate(defect, point) == (
             raw_evaluate(report.certificate, point) * raw_evaluate(f, point)
         )
 
@@ -504,32 +490,23 @@ def test_random_sphere_points_certify_dividend():
 # type and exact message, or "ok" where it returns.  The order of the
 # checks shows too: a constant is refused before its curvature is read,
 # and a one-variable input with hsq <= 0 is refused for its curvature.
-REFUSALS = {
-    # label: (variables, polynomial, hsq)
-    "constant": (3, "5", 1),
-    "zero": (3, "0", 1),
-    "one-variable": (1, "x1^2 - 1", 1),
-    "hsq-zero": (3, "x1^2 + x2^2 + x3^2 - 1", 0),
-    "hsq-negative": (3, "x1^2 + x2^2 + x3^2 - 1", -1),
-    "constant-hsq-negative": (3, "5", -1),
-    "one-variable-hsq-negative": (1, "x1^2 - 1", -1),
-}
 NONCONSTANT = "RingError: input polynomial must be nonconstant"
 TWO_VARIABLES = "RingError: defect needs at least two geometric variables"
 POSITIVE = "RingError: squared mean curvature must be positive"
 NO_HT = "RingError: context must declare 'Ht' as a parameter variable"
-REFUSED = {
-    # label: (check_cmc, solve_hsq, cmc_defect, symbolic_defect with Ht,
-    #         symbolic_defect without Ht)
-    "constant": (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT),
-    "zero": (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT),
-    "one-variable": (TWO_VARIABLES, TWO_VARIABLES, TWO_VARIABLES, TWO_VARIABLES,
-                     TWO_VARIABLES),
-    "hsq-zero": (POSITIVE, "ok", POSITIVE, "ok", NO_HT),
-    "hsq-negative": (POSITIVE, "ok", POSITIVE, "ok", NO_HT),
-    "constant-hsq-negative": (NONCONSTANT, NONCONSTANT, POSITIVE, "ok", NO_HT),
-    "one-variable-hsq-negative": (POSITIVE, TWO_VARIABLES, POSITIVE, TWO_VARIABLES,
-                                  TWO_VARIABLES),
+SPHERE3 = "x1^2 + x2^2 + x3^2 - 1"
+REFUSALS = {
+    # label: (variables, polynomial, hsq, outcomes of check_cmc, solve_hsq,
+    #         cmc_defect, and symbolic_defect with and without Ht declared)
+    "constant": (3, "5", 1, (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT)),
+    "zero": (3, "0", 1, (NONCONSTANT, NONCONSTANT, "ok", "ok", NO_HT)),
+    "one-variable": (1, "x1^2 - 1", 1, (TWO_VARIABLES,) * 5),
+    "hsq-zero": (3, SPHERE3, 0, (POSITIVE, "ok", POSITIVE, "ok", NO_HT)),
+    "hsq-negative": (3, SPHERE3, -1, (POSITIVE, "ok", POSITIVE, "ok", NO_HT)),
+    "constant-hsq-negative": (3, "5", -1,
+                              (NONCONSTANT, NONCONSTANT, POSITIVE, "ok", NO_HT)),
+    "one-variable-hsq-negative": (1, "x1^2 - 1", -1, (
+        POSITIVE, TWO_VARIABLES, POSITIVE, TWO_VARIABLES, TWO_VARIABLES)),
 }
 
 
@@ -543,7 +520,7 @@ def _outcome(call, *args):
 
 @pytest.mark.parametrize("label", list(REFUSALS))
 def test_refusal_messages_are_pinned(label):
-    n, text, hsq = REFUSALS[label]
+    n, text, hsq, expected = REFUSALS[label]
     f = parse_polynomial(text, RingContext.geometric(n))
     names = [f"x{i}" for i in range(1, n + 1)]
     g = parse_polynomial(text, RingContext.with_parameters(names, ["Ht"]))
@@ -554,4 +531,4 @@ def test_refusal_messages_are_pinned(label):
         _outcome(symbolic_defect, g),
         _outcome(symbolic_defect, f),
     )
-    assert got == REFUSED[label]
+    assert got == expected

@@ -224,25 +224,34 @@ def test_monomial_powers_raise_what_polynomial_powers_raise():
         assert str(got.value) == str(want.value)
 
 
-def _best_parse_time(src, ctx):
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
+def _wrapped_terms(src, ctx, monkeypatch):
+    """The parse of ``src`` and the number of terms it hands to
+    ``Polynomial._from_ints``, summed over every call."""
+    wrap = Polynomial.__dict__["_from_ints"].__func__
+    count = [0]
+
+    def counting(cls, ctx, terms, den=1):
+        count[0] += len(terms)
+        return wrap(cls, ctx, terms, den)
+
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "_from_ints", classmethod(counting))
         f = parse_polynomial(src, ctx)
-        times.append(time.perf_counter() - start)
-    return min(times), f
+    return count[0], f
 
 
-def test_parsing_is_linear():
-    """Eight times the terms take at most twelve times as long; a parser
-    that copies the growing sum at every term reads about 16 to 18."""
+def test_parsing_is_linear(monkeypatch):
+    """Eight times the terms hand at most twelve times as many terms to the
+    polynomial constructor; a parser that adds term by term through ``+``
+    copies the growing sum at every term and hands about 64 times as many.
+    The count is exact, where a ratio of wall-clock times is not."""
     ctx = RingContext.geometric(2)
 
     def text(n):
         return " + ".join(f"{i % 7 + 1}*x1^{i}*x2^{i % 5}" for i in range(n))
 
-    small, _ = _best_parse_time(text(2500), ctx)
-    large, f = _best_parse_time(text(20000), ctx)
+    small, _ = _wrapped_terms(text(2500), ctx, monkeypatch)
+    large, f = _wrapped_terms(text(20000), ctx, monkeypatch)
     assert len(f) == 20000
     assert large / small <= 12
     assert parse_polynomial(to_text(f), ctx) == f

@@ -61,7 +61,6 @@ def test_context_validation():
     assert CTX3.variables == ("x1", "x2", "x3")
     assert CTXP.geometric_variables == ("x1", "x2")
     assert CTXP.parameters == ("a", "b")
-    assert CTXP.is_parameter("a") and not CTXP.is_parameter("x1")
 
 
 def test_construction_merges_and_drops_zeros():
