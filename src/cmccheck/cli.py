@@ -97,12 +97,11 @@ def cmd_check(args: argparse.Namespace) -> _Output:
     f, inputs = _polynomial(args)
     inputs["hsq"] = args.hsq
     solved = args.hsq == "solve"
-    hsq = solve_hsq(f) if solved else _rational(args.hsq)
+    report = solve_hsq(f) if solved else check_cmc(f, _rational(args.hsq))
     # With no admissible curvature there is no report: nothing divides.
-    report = None if hsq is None else check_cmc(f, hsq)
     result = {
         "solved": solved,
-        "hsq": _fr(hsq),
+        "hsq": _fr(report.hsq) if report else None,
         "divisible": report is not None and report.divisible,
         "certificate": _text(report.certificate) if report else None,
         "witness_remainder": _text(report.witness_remainder) if report else None,
@@ -165,11 +164,8 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
         args.kind, _at_most(args.n, MAX_VARS, "--n"), rsq
     )
     inputs = {"kind": args.kind, "n": args.n, "rsq": args.rsq}
-    if hsq is not None:
-        report = check_cmc(f, hsq)
-        verified = report.divisible and report.certificate == certificate
-    else:
-        verified = solve_hsq(f) is None
+    report = solve_hsq(f)
+    verified = (report.hsq, report.certificate) == (hsq, certificate) if report else hsq is None
     result = {
         "polynomial": to_text(f),
         "hsq": _fr(hsq),

@@ -46,19 +46,42 @@ def _warnings_for(f: Polynomial) -> tuple[str, ...]:
     return (IRREDUCIBILITY_WARNING, SINGULARITY_WARNING)
 
 
-def _residues(
-    f: Polynomial, gns: Polynomial, d1: Polynomial
-) -> tuple[Polynomial, Polynomial]:
-    """Remainders modulo ``f`` of ``|grad f|^6`` and ``(delta1 f)^2``, given
-    ``gns = |grad f|^2`` and ``d1 = delta1 f``: ``r1 = rem(rem(g g) g)``
+def _residues(f: Polynomial) -> tuple[Polynomial, ...]:
+    """``gns = |grad f|^2``, ``d1 = delta1 f`` and the remainders modulo
+    ``f`` of ``|grad f|^6`` and ``(delta1 f)^2``: ``r1 = rem(rem(g g) g)``
     with ``g = rem(gns)``, and ``r2 = rem(d d)`` with ``d = rem(d1)``.
     Each product is of remainders, so neither power is formed (see
     :func:`check_cmc` for why these are the remainders)."""
+    gns, d1 = _gns_delta1(f)
     g = divide(gns, f).remainder
     d = divide(d1, f).remainder
     r1 = divide(divide(g * g, f).remainder * g, f).remainder
     r2 = divide(d * d, f).remainder
-    return r1, r2
+    return gns, d1, r1, r2
+
+
+def _report(
+    f: Polynomial, hsq: Fraction, c: Fraction,
+    gns: Polynomial, d1: Polynomial, r1: Polynomial, r2: Polynomial,
+) -> CmcReport:
+    """The verdict at ``c = 4 (n-1)^2 hsq`` from :func:`_residues`' output:
+    the witness ``c r1 - r2``, or on a zero witness the certificate, the
+    quotient of the defect by ``f`` as :func:`divides` re-multiplies it."""
+    witness = r1 * c - r2
+    certificate = None
+    if witness.is_zero:
+        verdict = divides(f, _defect(gns, d1, c))
+        if not verdict.divisible:
+            raise RingError("zero residue modulo f, but the defect leaves a remainder")
+        certificate = verdict.quotient
+    return CmcReport(
+        input=f,
+        hsq=hsq,
+        divisible=certificate is not None,
+        certificate=certificate,
+        witness_remainder=None if certificate is not None else witness,
+        warnings=_warnings_for(f),
+    )
 
 
 def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
@@ -88,27 +111,12 @@ def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
     if f.total_degree() < 1:
         raise RingError("input polynomial must be nonconstant")
     c = _curvature_factor(f, hsq)
-    gns, d1 = _gns_delta1(f)
-    r1, r2 = _residues(f, gns, d1)
-    witness = r1 * c - r2
-    certificate = None
-    if witness.is_zero:
-        verdict = divides(f, _defect(gns, d1, c))
-        if not verdict.divisible:
-            raise RingError("zero residue modulo f, but the defect leaves a remainder")
-        certificate = verdict.quotient
-    return CmcReport(
-        input=f,
-        hsq=hsq,
-        divisible=certificate is not None,
-        certificate=certificate,
-        witness_remainder=None if certificate is not None else witness,
-        warnings=_warnings_for(f),
-    )
+    return _report(f, hsq, c, *_residues(f))
 
 
-def solve_hsq(f: Polynomial) -> Optional[Fraction]:
-    """The unique admissible squared curvature for ``f``, if any.
+def solve_hsq(f: Polynomial) -> Optional[CmcReport]:
+    """The certified report at the unique admissible squared curvature for
+    ``f``, or ``None`` if no curvature is admissible.
 
     With ``G = |grad f|^6``, ``E = (delta1 f)^2`` and ``c = 4 (n-1)^2 hsq``
     the defect is ``c G - E``, linear in ``hsq`` for fixed ``f``.
@@ -139,7 +147,10 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     remainders of ``G`` and ``E`` themselves, and unique, by the argument
     in :func:`check_cmc`.  So ``f`` is admissible exactly when the two are
     proportional with a positive ratio, which decides the question
-    outright.
+    outright.  A zero ``r1`` leaves every curvature or none, so ``hsq =
+    1`` is tried; otherwise ``c`` must be the ratio of ``r2`` to ``r1`` at
+    any one monomial of ``r1``.  The report at that curvature tests ``c r1
+    = r2`` and certifies it in the same pass.
     """
     deg = f.total_degree()
     if deg < 1:
@@ -149,21 +160,15 @@ def solve_hsq(f: Polynomial) -> Optional[Fraction]:
     top = f.homogeneous_part(deg)
     if not divide(grad_norm_sq(top), top).remainder.is_zero:
         return None
-    r1, r2 = _residues(f, *_gns_delta1(f))
-    if r1.is_zero:
-        if r2.is_zero:
-            # Both sides already divisible: every curvature works, so
-            # report the simplest admissible one.
-            return Fraction(1)
-        return None
-    lead = r1.leading_monomial()
-    c2 = r2.coefficient(lead)
-    if not c2:
-        return None
-    ratio = c2 / r1.coefficient(lead)
-    if ratio <= 0 or r1 * ratio != r2:
-        return None
-    return ratio / c
+    gns, d1, r1, r2 = _residues(f)
+    ratio = c
+    if not r1.is_zero:
+        mono = next(r1.monomials())
+        ratio = r2.coefficient(mono) / r1.coefficient(mono)
+        if ratio <= 0:
+            return None
+    report = _report(f, ratio / c, ratio, gns, d1, r1, r2)
+    return report if report.divisible else None
 
 
 def make_surface(
@@ -255,7 +260,7 @@ def refutation_sweep(
     degree-3 part; no admissible squared curvature should ever appear, and
     any hit is returned verbatim for inspection.  Every hit carries the
     certificate ``p`` with ``p * f == defect``, re-multiplied by
-    :func:`check_cmc` before it is reported.  With ``degree=2`` the
+    :func:`solve_hsq` before it is reported.  With ``degree=2`` the
     samples are spheres ``a * sum x_i^2 - b`` (a, b > 0), every one of
     which must be admissible; this is the positive control that the sweep
     machinery can find curvatures at all.
@@ -280,12 +285,12 @@ def refutation_sweep(
             a = rng.randint(1, coeff_bound)
             b = rng.randint(1, coeff_bound)
             f = radial * a - b
-        hsq = solve_hsq(f)
-        if hsq is not None:
-            report = check_cmc(f, hsq)
-            if not report.divisible:
-                raise RingError(f"sweep sample {i}: solved hsq {hsq} fails to certify")
-            hits.append(SweepHit(i, f, hsq, report.certificate))
+        report = solve_hsq(f)
+        if report is None:
+            continue
+        if not report.divisible:
+            raise RingError(f"sweep sample {i}: solved hsq {report.hsq} fails to certify")
+        hits.append(SweepHit(i, f, report.hsq, report.certificate))
     return SweepReport(
         n=n,
         degree=degree,

@@ -388,11 +388,6 @@ class Polynomial:
         unpack, frac = self.ctx._unpack, self._fraction
         return ((unpack(m), frac(c)) for m, c in self._terms.items())
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self._terms:
-            raise RingError("zero polynomial has no leading monomial")
-        return self.ctx._unpack(min(self._terms, key=self.ctx._sort_key()))
-
     def total_degree(self) -> Union[int, float]:
         """Geometric-weighted total degree; NEG_INF for the zero polynomial."""
         if not self._terms:

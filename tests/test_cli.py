@@ -273,6 +273,71 @@ def test_surface_command(capsys):
     assert payload["result"]["hsq"] == "1/9"
 
 
+# Closed forms that disagree with what ``solve_hsq`` finds: each must
+# print ``verified: no`` and exit 1.
+WRONG_SURFACES = {
+    "sphere-wrong-hsq": lambda f, hsq, cert: (f, hsq * 2, cert),
+    "doubled-certificate": lambda f, hsq, cert: (f, hsq, cert * 2),
+    "plane-with-hsq": lambda f, hsq, cert: (
+        Polynomial.variable(f.ctx, "x1"), hsq, None
+    ),
+    "sphere-without-hsq": lambda f, hsq, cert: (f, None, None),
+}
+
+
+@pytest.mark.parametrize("label", list(WRONG_SURFACES))
+def test_surface_with_a_wrong_closed_form_is_not_verified(capsys, monkeypatch, label):
+    wrong = WRONG_SURFACES[label]
+    make_surface = cli.make_surface
+    monkeypatch.setattr(
+        cli, "make_surface", lambda kind, n, rsq: wrong(*make_surface(kind, n, rsq))
+    )
+    code, out, _ = run(capsys, "surface", "sphere", "--n", "3", "--rsq", "4")
+    assert code == 1
+    assert out.endswith("verified: no\n")
+    code, out, _ = run(capsys, "surface", "sphere", "--n", "3", "--rsq", "4", "--json")
+    assert code == 1
+    assert json.loads(out)["result"]["verified"] is False
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls that ``cmccheck.cmc`` makes to its name ``name``."""
+    calls = []
+    target = getattr(cmccheck.cmc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(cmccheck.cmc, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_solved_check_forms_the_residues_once(capsys, monkeypatch, n):
+    # A translated sphere passes the top-form test and is admissible: one
+    # top-form division, the five residue divisions and one certificate.
+    text = " + ".join(f"(x{i} - {i})^2" for i in range(1, n + 1)) + " - 4"
+    counts = {
+        name: _count_calls(monkeypatch, name)
+        for name in ("_gns_delta1", "divide", "divides")
+    }
+    code, out, _ = run(capsys, "check", text, "--vars", str(n), "--hsq", "solve")
+    assert code == 0
+    assert "hsq: 1/4 (solved)" in out
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "_gns_delta1": 1, "divide": 6, "divides": 1,
+    }
+
+
+def test_each_sweep_sample_forms_the_residues_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_gns_delta1")
+    code, out, _ = run(capsys, "sweep", "--n", "3", "--count", "5", "--degree", "2")
+    assert code == 0
+    assert "admissible: 5 of 5" in out
+    assert len(calls) == 5
+
+
 def test_replay_command(capsys):
     code, out, _ = run(capsys, "replay", "--n", "3")
     assert code == 0

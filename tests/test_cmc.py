@@ -95,15 +95,15 @@ def test_check_cmc_validation():
 def test_solve_hsq_on_models():
     for n in (2, 3, 4):
         f, hsq, _ = sphere(n, Fraction(3, 2))
-        assert solve_hsq(f) == hsq
+        assert solve_hsq(f).hsq == hsq
     f, hsq, _ = make_surface("cylinder", 4, 2)
-    assert solve_hsq(f) == hsq
+    assert solve_hsq(f).hsq == hsq
 
 
 def test_solve_hsq_scaled_and_translated_spheres():
     # solve_hsq sees through constant rescaling of the defining polynomial
     f, hsq, _ = sphere(3, 4)
-    assert solve_hsq(f * Fraction(-7, 3)) == hsq
+    assert solve_hsq(f * Fraction(-7, 3)).hsq == hsq
     # and through translation: shifted spheres keep their curvature
     rng = random.Random(7)
     ctx = f.ctx
@@ -113,7 +113,7 @@ def test_solve_hsq_scaled_and_translated_spheres():
             + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             for name in ctx.geometric_variables
         }
-        assert solve_hsq(f.substitute(shift)) == hsq
+        assert solve_hsq(f.substitute(shift)).hsq == hsq
 
 
 def test_solve_hsq_none_means_every_curvature_fails():
@@ -131,7 +131,7 @@ def test_solve_hsq_both_residues_zero_corner():
     # curvature is admissible and the solver reports the simplest one.
     ctx = RingContext.geometric(2)
     f = parse_polynomial("x1^3", ctx)
-    assert solve_hsq(f) == Fraction(1)
+    assert solve_hsq(f).hsq == Fraction(1)
     assert check_cmc(f, Fraction(1)).divisible
     assert check_cmc(f, Fraction(17, 5)).divisible
 
@@ -153,11 +153,11 @@ def _solve_hsq_reference(f):
     r2 = divide(d1 * d1, f).remainder
     if r1.is_zero:
         return Fraction(1) if r2.is_zero else None
-    lead = r1.leading_monomial()
-    c2 = r2.coefficient(lead)
+    mono = next(r1.monomials())
+    c2 = r2.coefficient(mono)
     if not c2:
         return None
-    ratio = c2 / r1.coefficient(lead)
+    ratio = c2 / r1.coefficient(mono)
     if ratio <= 0 or r1 * ratio != r2:
         return None
     return ratio / (4 * (n - 1) ** 2)
@@ -210,7 +210,11 @@ def test_solve_hsq_matches_the_full_residue_test():
     outcomes = set()
     for f in _solve_hsq_cases(rng):
         expected = _solve_hsq_reference(f)
-        assert solve_hsq(f) == expected, f
+        report = solve_hsq(f)
+        assert (None if report is None else report.hsq) == expected, f
+        if report is not None:
+            # The solved report is the one check_cmc gives, field for field.
+            assert report == check_cmc(f, report.hsq), f
         outcomes.add(expected is None)
     assert outcomes == {True, False}
 
@@ -237,7 +241,8 @@ def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
         (sphere(3, 4)[0], Fraction(1, 4)),
     ):
         calls.clear()
-        assert solve_hsq(f) == expected
+        report = solve_hsq(f)
+        assert (None if report is None else report.hsq) == expected
         first, *rest = [d for _, d in calls]
         assert first == f.homogeneous_part(f.total_degree())
         assert rest and all(d == f for d in rest)
@@ -426,8 +431,8 @@ def test_sweep_hits_carry_certificates():
 
 
 def test_sweep_rejects_hit_that_fails_to_certify(monkeypatch):
-    # A wrong curvature from the solver must not become a reported hit.
-    monkeypatch.setattr("cmccheck.cmc.solve_hsq", lambda f: Fraction(1))
+    # A report from the solver that does not divide must not become a hit.
+    monkeypatch.setattr("cmccheck.cmc.solve_hsq", lambda f: check_cmc(f, Fraction(1)))
     with pytest.raises(RingError, match="fails to certify"):
         refutation_sweep(3, count=1, coeff_bound=5, seed=0)
 
