@@ -52,11 +52,15 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
 
 
 def _gns_delta1(f: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """``|grad f|^2`` and ``delta1 f`` from one gradient."""
+    """``|grad f|^2`` and ``delta1 f`` from one gradient; ``lap f`` sums
+    its diagonal derivatives."""
     ctx = f.ctx
     grad = gradient(f)
     gns = Polynomial._sum_of_products(ctx, [(g, g) for g in grad])
-    pairs = [(gns, laplacian(f) * 2)]
+    lap = Polynomial.zero(ctx)
+    for g, name in zip(grad, ctx.geometric_variables):
+        lap = lap + partial(g, name)
+    pairs = [(gns, lap * 2)]
     pairs += zip(grad, [-g for g in gradient(gns)])
     return gns, Polynomial._sum_of_products(ctx, pairs)
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .calculus import _curvature_factor, _defect, _gns_delta1, dot, grad_norm_sq
-from .divide import divide, divides
+from .calculus import _curvature_factor, _gns_delta1, dot, grad_norm_sq
+from .divide import DivisionResult, divide
 from .ring import Polynomial, Rational, RingContext, RingError, as_fraction
 
 IRREDUCIBILITY_WARNING = (
@@ -46,34 +46,49 @@ def _warnings_for(f: Polynomial) -> tuple[str, ...]:
     return (IRREDUCIBILITY_WARNING, SINGULARITY_WARNING)
 
 
-def _residues(f: Polynomial) -> tuple[Polynomial, ...]:
-    """``gns = |grad f|^2``, ``d1 = delta1 f`` and the remainders modulo
-    ``f`` of ``|grad f|^6`` and ``(delta1 f)^2``: ``r1 = rem(rem(g g) g)``
-    with ``g = rem(gns)``, and ``r2 = rem(d d)`` with ``d = rem(d1)``.
-    Each product is of remainders, so neither power is formed (see
-    :func:`check_cmc` for why these are the remainders)."""
+def _residues(f: Polynomial) -> tuple:
+    """``G = |grad f|^2``, ``E = delta1 f`` and the five divisions by ``f``
+    behind the remainders of ``G^3`` and ``E^2``: ``G = qg f + g``, ``E =
+    qd f + d``, ``g g = q1 f + rem(g g)``, ``rem(g g) g = q2 f + r1`` and
+    ``d d = q3 f + r2``, each returned as its ``DivisionResult``, in that
+    order.  Each product is of remainders, so neither power is formed (see
+    :func:`check_cmc` for why ``r1`` and ``r2`` are the remainders); the
+    quotients are kept for :func:`_report`'s certificate."""
     gns, d1 = _gns_delta1(f)
-    g = divide(gns, f).remainder
-    d = divide(d1, f).remainder
-    r1 = divide(divide(g * g, f).remainder * g, f).remainder
-    r2 = divide(d * d, f).remainder
-    return gns, d1, r1, r2
+    g = divide(gns, f)
+    d = divide(d1, f)
+    gg = divide(g.remainder * g.remainder, f)
+    g3 = divide(gg.remainder * g.remainder, f)
+    d2 = divide(d.remainder * d.remainder, f)
+    return gns, d1, g, d, gg, g3, d2
 
 
 def _report(
-    f: Polynomial, hsq: Fraction, c: Fraction,
-    gns: Polynomial, d1: Polynomial, r1: Polynomial, r2: Polynomial,
+    f: Polynomial, hsq: Fraction, c: Fraction, gns: Polynomial, d1: Polynomial,
+    g: DivisionResult, d: DivisionResult, gg: DivisionResult,
+    g3: DivisionResult, d2: DivisionResult,
 ) -> CmcReport:
     """The verdict at ``c = 4 (n-1)^2 hsq`` from :func:`_residues`' output:
-    the witness ``c r1 - r2``, or on a zero witness the certificate, the
-    quotient of the defect by ``f`` as :func:`divides` re-multiplies it."""
-    witness = r1 * c - r2
+    the witness ``c r1 - r2``, or on a zero witness the certificate ``Q``,
+    assembled from the quotients and re-multiplied: ``Q f - c G^3 + E^2``
+    must vanish (see :func:`check_cmc`)."""
+    witness = g3.remainder * c - d2.remainder
     certificate = None
     if witness.is_zero:
-        verdict = divides(f, _defect(gns, d1, c))
-        if not verdict.divisible:
+        ctx = f.ctx
+        square = gns * gns
+        # Q = c [qg (G^2 + G g + g g) + g q1 + q2] - [qd (E + d) + q3]
+        rg, rd = g.remainder, d.remainder
+        certificate = Polynomial._sum_of_products(ctx, [
+            (g.quotient * c, square + rg * (gns + rg)),
+            (rg * c, gg.quotient),
+            (-d.quotient, d1 + rd),
+        ]) + g3.quotient * c - d2.quotient
+        check = Polynomial._sum_of_products(
+            ctx, [(certificate, f), (square, gns * -c), (d1, d1)]
+        )
+        if not check.is_zero:
             raise RingError("zero residue modulo f, but the defect leaves a remainder")
-        certificate = verdict.quotient
     return CmcReport(
         input=f,
         hsq=hsq,
@@ -87,9 +102,10 @@ def _report(
 def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
     """Does ``f`` divide its defect for squared mean curvature ``hsq``?
 
-    The verdict is decided on residues modulo ``f``; the defect is formed
-    only when its quotient, the certificate, is needed.  Write ``rem`` for
-    the remainder of lex division by ``f``.  It is the unique reduced
+    The verdict is decided on residues modulo ``f``, and the certificate
+    is assembled from their quotients; the defect is never formed as a
+    polynomial or divided.  Write ``rem`` for the remainder of lex
+    division by ``f``.  It is the unique reduced
     polynomial congruent to its argument modulo ``f``: two reduced
     polynomials congruent modulo ``f`` differ by a multiple ``q f`` with no
     term divisible by the lead of ``f``, but the lead of ``q f`` is a
@@ -99,13 +115,25 @@ def check_cmc(f: Polynomial, hsq: Rational) -> CmcReport:
     ``rem(a b) = rem(rem(a) rem(b))``, since ``a b - rem(a) rem(b)`` lies in
     the ideal of ``f``.
 
-    With ``G = |grad f|^6``, ``E = (delta1 f)^2`` and ``c = 4 (n-1)^2 hsq``
-    the defect is ``c G - E``, so its remainder is ``c r1 - r2`` with ``r1 =
-    rem(G)`` and ``r2 = rem(E)`` as :func:`_residues` forms them.  That is
-    the very polynomial that dividing the whole defect leaves, so a
-    nonzero ``c r1 - r2`` is the witness of a negative verdict, term for
-    term.  A zero one forms the defect and divides it; :func:`divides`
-    re-multiplies the quotient before the verdict is reported.
+    With ``G = |grad f|^2``, ``E = delta1 f`` and ``c = 4 (n-1)^2 hsq``
+    the defect is ``c G^3 - E^2``, so its remainder is ``c r1 - r2`` with
+    ``r1 = rem(G^3)`` and ``r2 = rem(E^2)`` as :func:`_residues` forms
+    them.  That is the very polynomial that dividing the whole defect
+    leaves, so a nonzero ``c r1 - r2`` is the witness of a negative
+    verdict, term for term.
+
+    A zero one is certified from the quotients of the same divisions:
+    ``G = qg f + g``, ``E = qd f + d``, ``g g = q1 f + rem(g g)``, ``rem(g
+    g) g = q2 f + r1`` and ``d d = q3 f + r2``.  Then ``G^3 - g^3 = (G -
+    g)(G^2 + G g + g g) = qg f (G^2 + G g + g g)`` and ``g^3 = g q1 f +
+    rem(g g) g = (g q1 + q2) f + r1``, while ``E^2 - d^2 = qd f (E + d)``.
+    So ``c G^3 - E^2 = Q f + (c r1 - r2)`` with ``Q = c [qg (G^2 + G g +
+    g g) + g q1 + q2] - [qd (E + d) + q3]``, and a zero witness makes
+    ``Q`` the quotient of the defect by ``f``; it is unique, since the
+    polynomials form an integral domain.  Before the verdict is reported
+    ``Q`` is re-multiplied: one multiply-accumulate pass forms ``Q f - c
+    G^2 G + E E``, which must be zero, so a positive verdict never rests
+    on the division routine alone.
     """
     hsq = as_fraction(hsq)
     if f.total_degree() < 1:
@@ -160,14 +188,15 @@ def solve_hsq(f: Polynomial) -> Optional[CmcReport]:
     top = f.homogeneous_part(deg)
     if not divide(grad_norm_sq(top), top).remainder.is_zero:
         return None
-    gns, d1, r1, r2 = _residues(f)
+    residues = _residues(f)
+    r1, r2 = residues[-2].remainder, residues[-1].remainder
     ratio = c
     if not r1.is_zero:
         mono = next(r1.monomials())
         ratio = r2.coefficient(mono) / r1.coefficient(mono)
         if ratio <= 0:
             return None
-    report = _report(f, ratio / c, ratio, gns, d1, r1, r2)
+    report = _report(f, ratio / c, ratio, *residues)
     return report if report.divisible else None
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from cmccheck.calculus import delta1, partial
+from cmccheck.calculus import delta1, laplacian, partial
 from cmccheck.divide import divide, divides
 from cmccheck.ring import Polynomial, RingContext
 
@@ -79,6 +79,14 @@ def raw_partial(a: dict, i: int) -> dict:
     for m, c in a.items():
         if m[i]:
             out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c * m[i]
+    return out
+
+
+def raw_laplacian(f: Polynomial) -> dict:
+    """Sum of the second partials over the geometric variables."""
+    out: dict = {}
+    for i in range(f.ctx.geometric_count):
+        out = raw_add(out, raw_partial(raw_partial(raw(f), i), i))
     return out
 
 
@@ -336,6 +344,12 @@ def check_euler(rng: random.Random, ctx: RingContext, rounds: int) -> None:
         for name in ctx.geometric_variables:
             total = total + Polynomial.variable(ctx, name) * partial(f, name)
         assert total == f * k
+
+
+def check_laplacian(rng: random.Random, ctx: RingContext, rounds: int) -> None:
+    for _ in range(rounds):
+        f = random_polynomial(rng, ctx, max_degree=4, max_terms=6)
+        assert raw(laplacian(f)) == raw_laplacian(f)
 
 
 def check_delta1_identity(rng: random.Random, ctx: RingContext, rounds: int) -> None:

@@ -21,6 +21,7 @@ from oracles import (
     check_delta1_identity,
     check_division_identity,
     check_euler,
+    check_laplacian,
     check_remainder_uniqueness,
     check_ring_axioms,
 )
@@ -192,6 +193,8 @@ def test_criterion_7_algebra_property_suite():
         check_remainder_uniqueness(random.Random(4), ctx, rounds=200)
         check_euler(random.Random(5), ctx, rounds=200)
         check_delta1_identity(random.Random(6), ctx, rounds=200)
+        check_laplacian(random.Random(7), ctx, rounds=200)
+        check_laplacian(random.Random(8), ctxp, rounds=100)
     except AssertionError:
         ok = False
     report(7, "algebra property suite", ok)

@@ -300,33 +300,37 @@ def test_surface_with_a_wrong_closed_form_is_not_verified(capsys, monkeypatch, l
     assert json.loads(out)["result"]["verified"] is False
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls that ``cmccheck.cmc`` makes to its name ``name``."""
+def _count_calls(monkeypatch, name, module=cmccheck.cmc):
+    """Count the calls made to ``module``'s name ``name``."""
     calls = []
-    target = getattr(cmccheck.cmc, name)
+    target = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return target(*args, **kwargs)
 
-    monkeypatch.setattr(cmccheck.cmc, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_solved_check_forms_the_residues_once(capsys, monkeypatch, n):
     # A translated sphere passes the top-form test and is admissible: one
-    # top-form division, the five residue divisions and one certificate.
+    # top-form division and the five residue divisions, whose quotients
+    # make the certificate; the defect is not divided.
     text = " + ".join(f"(x{i} - {i})^2" for i in range(1, n + 1)) + " - 4"
     counts = {
-        name: _count_calls(monkeypatch, name)
-        for name in ("_gns_delta1", "divide", "divides")
+        name: _count_calls(monkeypatch, name) for name in ("_gns_delta1", "divide")
     }
+    assert not hasattr(cmccheck.cmc, "divides")
+    counts["divides"] = _count_calls(
+        monkeypatch, "divides", sys.modules["cmccheck.divide"]
+    )
     code, out, _ = run(capsys, "check", text, "--vars", str(n), "--hsq", "solve")
     assert code == 0
     assert "hsq: 1/4 (solved)" in out
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "_gns_delta1": 1, "divide": 6, "divides": 1,
+        "_gns_delta1": 1, "divide": 6, "divides": 0,
     }
 
 
@@ -401,6 +405,18 @@ def test_dimensions_are_bounded_before_any_context_is_built(capsys, monkeypatch)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be at most {cap}\n"
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["check", "x1", "--vars", "65", "--hsq", "1"], "--vars", 64),
+    (["surface", "sphere", "--n", "65"], "--n", 64),
+    (["sweep", "--n", "9", "--count", "1"], "--n", 8),
+    (["replay", "--n", "11"], "--n", 10),
+])
+def test_dimension_caps_refuse_one_past_the_cap(capsys, argv, flag, cap):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at most {cap}\n"
 
 
 def test_dimension_caps_are_inclusive(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from cmccheck import cmc
 from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cmc import (
     IRREDUCIBILITY_WARNING,
@@ -14,7 +15,7 @@ from cmccheck.cmc import (
     refutation_sweep,
     solve_hsq,
 )
-from cmccheck.divide import divide, divides
+from cmccheck.divide import DivisionResult, divide, divides
 from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.ring import Polynomial, RingContext, RingError
 from oracles import (
@@ -302,12 +303,9 @@ def test_negative_check_never_forms_the_defect(monkeypatch):
         dividends.append(g)
         return divide(g, f)
 
-    def refuse(*args):
-        raise AssertionError("negative verdict formed or divided the defect")
-
+    # The CMC layer cannot reach the defect's formula or a whole division.
+    assert not hasattr(cmc, "_defect") and not hasattr(cmc, "divides")
     monkeypatch.setattr("cmccheck.cmc.divide", spy)
-    monkeypatch.setattr("cmccheck.cmc.divides", refuse)
-    monkeypatch.setattr("cmccheck.cmc._defect", refuse)
     rng = random.Random(67)
     ctx = RingContext.geometric(3)
     x1, x2, x3 = (Polynomial.variable(ctx, v) for v in ctx.variables)
@@ -329,11 +327,61 @@ def test_negative_check_never_forms_the_defect(monkeypatch):
 
 
 def test_zero_residue_with_a_remainder_is_an_error(monkeypatch):
-    # The residues decide; a full division that disagrees is a kernel fault.
+    """The residues decide, and the certificate assembled from their
+    quotients is re-multiplied against the defect.  A residue division
+    that returns its quotient plus 1 (its remainder, and so the verdict,
+    untouched) shifts the certificate by a nonzero multiple, and the
+    re-multiplication must catch it, whichever of the five it is."""
     f, hsq, _ = sphere(3)
-    monkeypatch.setattr("cmccheck.cmc._defect", lambda gns, d1, c: gns)
-    with pytest.raises(RingError, match="zero residue"):
-        check_cmc(f, hsq)
+    for which in range(5):
+        calls = []
+
+        def corrupt(g, f):
+            result = divide(g, f)
+            calls.append(g)
+            if len(calls) - 1 == which:
+                return DivisionResult(result.quotient + 1, result.remainder)
+            return result
+
+        monkeypatch.setattr("cmccheck.cmc.divide", corrupt)
+        with pytest.raises(RingError, match="zero residue"):
+            check_cmc(f, hsq)
+        assert len(calls) == 5
+
+
+def _positive_cases():
+    """(f, hsq) at the admissible curvature: spheres and cylinders at n =
+    2..6, translated and scaled by rationals, the samples of ``sweep
+    --degree 2`` at its default bound and seed, and products of disjoint
+    pieces with one mean curvature.  On a quadric ``rem(|grad f|^2)`` is
+    a constant and three of the five residue quotients are zero; on the
+    products all five are nonzero, so every term of the assembled
+    certificate counts."""
+    for n, text, hsq in (
+        (3, "((x1-3)^2 + x2^2 + x3^2 - 1)*((x1+3)^2 + x2^2 + x3^2 - 1)", 1),
+        (3, "(x1^2 + x2^2 + x3^2 - 1)*(4*(x1-5)^2 + 4*x2^2 - 1)", 1),
+        (2, "(x1^2 + x2^2 - 4)*((x1-5)^2 + (x2-1)^2 - 4)", Fraction(1, 4)),
+    ):
+        yield parse_polynomial(text, RingContext.geometric(n)), hsq
+    rng = random.Random(71)
+    for n in range(2, 7):
+        for kind in ("sphere", "cylinder"):
+            for _ in range(2):
+                yield _translated_quadric(rng, kind, n)
+    for n in range(3, 7):
+        for hit in refutation_sweep(n, count=3, degree=2).admissible:
+            yield hit.polynomial, hit.hsq
+
+
+def test_certificate_is_the_quotient_of_the_whole_defect():
+    count = 0
+    for f, hsq in _positive_cases():
+        report = check_cmc(f, hsq)
+        whole = divide(cmc_defect(f, hsq), f)
+        assert whole.remainder.is_zero, (f, hsq)
+        assert report.divisible and report.certificate == whole.quotient, (f, hsq)
+        count += 1
+    assert count == 35
 
 
 def test_top_form_test_agrees_with_its_cube():

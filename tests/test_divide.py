@@ -1,15 +1,17 @@
 import random
+import sys
 
 import pytest
 from fractions import Fraction
 
-from cmccheck.divide import ZeroDivisorError, divide, divides
+from cmccheck.divide import DivisionResult, ZeroDivisorError, divide, divides
 from cmccheck.parse import parse_polynomial
 from cmccheck.ring import (
     ContextMismatchError,
     ExponentLimitError,
     Polynomial,
     RingContext,
+    RingError,
 )
 from oracles import (
     check_certificates,
@@ -207,6 +209,22 @@ def test_divides_known_quotients():
     verdict = divides(x**3, big)
     assert verdict.divisible
     assert verdict.quotient == ht**2 * x**9 * 729
+
+
+def test_divides_refuses_a_wrong_quotient_with_a_zero_remainder(monkeypatch):
+    """``divides`` re-multiplies the quotient: a division routine that
+    returns a wrong quotient beside a zero remainder is caught, not
+    reported as divisible."""
+    f, h = parse("x1^2 + x2 - 1"), parse("x1*x3 + 2")
+
+    def wrong(g, f):
+        result = divide(g, f)
+        return DivisionResult(result.quotient + 1, result.remainder)
+
+    # The package re-exports the function ``divide`` under the module's name.
+    monkeypatch.setattr(sys.modules["cmccheck.divide"], "divide", wrong)
+    with pytest.raises(RingError, match="inconsistent certificate"):
+        divides(f, f * h)
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTXP], ids=["geometric", "parameters"])
