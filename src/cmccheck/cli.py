@@ -33,10 +33,13 @@ TERM_CAP = 200
 # modulo f (``check --hsq solve`` on a cubed dense linear form plus a dense
 # quadratic takes 0.6 to 0.8 s and 27 MB at n = 8, 1.9 s and 39 MB at
 # n = 9, 4.2 s and 55 MB at n = 10, as a process on a 2-core Intel Xeon);
-# ``replay --n 10 --json`` takes 2.2 to 3.0 s and 139 MB there.
+# ``replay --n 10 --json`` takes 2.2 to 3.0 s and 139 MB there.  The
+# sweep count bounds the hits a sweep keeps (about 5 KB each at degree 2):
+# ``sweep --n 8 --count 1000`` takes at most 6.1 s and 21 MB there.
 MAX_VARS = 64
 MAX_SWEEP_N = 8
 MAX_REPLAY_N = 10
+MAX_SWEEP_COUNT = 1000
 # An integer or a fraction with a nonzero denominator, in ASCII digits.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -63,11 +66,12 @@ def _context(nvars: int) -> RingContext:
     return RingContext.geometric(_at_most(nvars, MAX_VARS, "--vars"))
 
 
-def _polynomial(args: argparse.Namespace) -> tuple[Polynomial, dict]:
-    """The command's polynomial over ``--vars`` variables, and the inputs it
-    echoes: the polynomial as printed and ``--vars``."""
+def _polynomial(args: argparse.Namespace) -> Polynomial:
+    """The command's polynomial over ``--vars`` variables; ``args.poly``
+    becomes its printed form, which the envelope echoes."""
     f = parse_polynomial(args.poly, _context(args.vars))
-    return f, {"polynomial": to_text(f), "vars": args.vars}
+    args.poly = to_text(f)
+    return f
 
 
 def _clip(f: Polynomial, full: bool, text: str) -> str:
@@ -88,14 +92,14 @@ def _fr(value: Optional[Fraction]) -> Optional[str]:
 # ----------------------------------------------------------------------
 # subcommands
 
-# Each returns ``(inputs, result, exit_code, text_lines)``; :func:`main`
-# prints either the JSON envelope of inputs and result or the text lines.
-_Output = tuple[dict, dict, int, list[str]]
+# Each returns ``(result, exit_code, text_lines)``; :func:`main` prints
+# either the JSON envelope of the command's arguments and result or the
+# text lines.
+_Output = tuple[dict, int, list[str]]
 
 
 def cmd_check(args: argparse.Namespace) -> _Output:
-    f, inputs = _polynomial(args)
-    inputs["hsq"] = args.hsq
+    f = _polynomial(args)
     solved = args.hsq == "solve"
     report = solve_hsq(f) if solved else check_cmc(f, _rational(args.hsq))
     # With no admissible curvature there is no report: nothing divides.
@@ -109,9 +113,9 @@ def cmd_check(args: argparse.Namespace) -> _Output:
     }
     if report is None:
         lines = ["no admissible squared curvature exists for this polynomial"]
-        return inputs, result, 1, lines
+        return result, 1, lines
     lines = [
-        f"polynomial: {inputs['polynomial']}",
+        f"polynomial: {args.poly}",
         f"hsq: {result['hsq']}" + (" (solved)" if solved else ""),
     ]
     if report.divisible:
@@ -122,13 +126,11 @@ def cmd_check(args: argparse.Namespace) -> _Output:
         rem = _clip(report.witness_remainder, args.full, result["witness_remainder"])
         lines += ["verdict: not divisible", f"witness remainder: {rem}"]
     lines += [f"warning: {w}" for w in report.warnings]
-    return inputs, result, 0 if report.divisible else 1, lines
+    return result, 0 if report.divisible else 1, lines
 
 
 def cmd_defect(args: argparse.Namespace) -> _Output:
-    f, inputs = _polynomial(args)
-    inputs["hsq"] = args.hsq
-    d = cmc_defect(f, _rational(args.hsq))
+    d = cmc_defect(_polynomial(args), _rational(args.hsq))
     degree = d.total_degree()
     result = {
         "defect": to_text(d),
@@ -139,23 +141,22 @@ def cmd_defect(args: argparse.Namespace) -> _Output:
         f"defect: {_clip(d, args.full, result['defect'])}",
         f"terms: {len(d)}, total degree: {result['total_degree']}",
     ]
-    return inputs, result, 0, lines
+    return result, 0, lines
 
 
 def cmd_decompose(args: argparse.Namespace) -> _Output:
-    f, inputs = _polynomial(args)
+    f = _polynomial(args)
     parts = {str(k): to_text(p) for k, p in f.homogeneous_parts().items()}
     lines = [f"degree {k}: {text}" for k, text in parts.items()] or ["0"]
-    return inputs, {"parts": parts}, 0, lines
+    return {"parts": parts}, 0, lines
 
 
 def cmd_cube_test(args: argparse.Namespace) -> _Output:
-    f, inputs = _polynomial(args)
-    root = cube_root_cubic_form(f)
+    root = cube_root_cubic_form(_polynomial(args))
     result = {"is_cube": root is not None, "root": _text(root)}
     if root is None:
-        return inputs, result, 1, ["not the cube of a linear form"]
-    return inputs, result, 0, [f"cube root: {result['root']}"]
+        return result, 1, ["not the cube of a linear form"]
+    return result, 0, [f"cube root: {result['root']}"]
 
 
 def cmd_surface(args: argparse.Namespace) -> _Output:
@@ -163,7 +164,6 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
     f, hsq, certificate = make_surface(
         args.kind, _at_most(args.n, MAX_VARS, "--n"), rsq
     )
-    inputs = {"kind": args.kind, "n": args.n, "rsq": args.rsq}
     report = solve_hsq(f)
     verified = (report.hsq, report.certificate) == (hsq, certificate) if report else hsq is None
     result = {
@@ -180,7 +180,7 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
         cert = _clip(certificate, args.full, result["certificate"])
         lines.append(f"certificate: {cert}")
     lines.append(f"verified: {'yes' if verified else 'no'}")
-    return inputs, result, 0 if verified else 1, lines
+    return result, 0 if verified else 1, lines
 
 
 def cmd_replay(args: argparse.Namespace) -> _Output:
@@ -219,21 +219,15 @@ def cmd_replay(args: argparse.Namespace) -> _Output:
         f"printed delta1 expansion {note} (informational)",
         f"overall: {report.overall}",
     ]
-    return {"n": args.n}, result, 0 if report.passed else 1, lines
+    return result, 0 if report.passed else 1, lines
 
 
 def cmd_sweep(args: argparse.Namespace) -> _Output:
     n = _at_most(args.n, MAX_SWEEP_N, "--n")
+    count = _at_most(args.count, MAX_SWEEP_COUNT, "--count")
     report = refutation_sweep(
-        n, args.count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
+        n, count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
     )
-    inputs = {
-        "n": args.n,
-        "count": args.count,
-        "bound": args.bound,
-        "seed": args.seed,
-        "degree": args.degree,
-    }
     hits = [
         {
             "index": h.index,
@@ -253,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> _Output:
         code = 0 if report.admissible_count == 0 else 1
     else:
         code = 0 if report.admissible_count == args.count else 1
-    return inputs, result, code, lines
+    return result, code, lines
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +331,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not command or extra:
         args = build_parser().parse_args(argv)
     try:
-        inputs, result, code, lines = args.func(args)
+        result, code, lines = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         # ParseError and RingError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        # The inputs echo the command's own arguments, ``poly`` as printed.
+        inputs = {"polynomial" if k == "poly" else k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "json", "full")}
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .calculus import delta1, dot, grad_norm_sq
+from .calculus import _gns_delta1, dot
 from .cubic import (
     GenericCubicSpec,
     SymMatrix,
@@ -70,6 +70,18 @@ from .divide import divide
 from .ring import ExponentLimitError, Polynomial, RingError
 
 MUTATIONS = ("cubic-part", "defect-sign")
+# The chain's step names, in order; the docstring's table numbers them.
+STEPS = (
+    "gradsq-parts",
+    "delta1-congruence",
+    "gradsq-square",
+    "delta1-square",
+    "defect-valuations",
+    "cascade-division",
+    "vanish-at-x0",
+    "obstruction",
+    "matrix-extraction",
+)
 
 
 @dataclass(frozen=True)
@@ -150,13 +162,12 @@ def _expected_delta1_rest(spec: GenericCubicSpec) -> Polynomial:
     ])
 
 
-def _step(name: str, residual: Polynomial, detail: str,
-          witness: Optional[Polynomial] = None) -> ReplayStep:
-    """The record of a step that passes exactly when its residual is zero;
-    step 9, which passes on two comparisons, builds its own record."""
-    if residual.is_zero:
-        return ReplayStep(name, "pass", witness=witness, detail=detail)
-    return ReplayStep(name, "fail", residual, witness, detail)
+def _step(steps: list[ReplayStep], residual: Polynomial, detail: str,
+          witness: Optional[Polynomial] = None) -> None:
+    """Append the record of the next step, named ``STEPS[len(steps)]``,
+    which passes exactly when its residual is zero."""
+    status = "fail" if residual else "pass"
+    steps.append(ReplayStep(STEPS[len(steps)], status, residual or None, witness, detail))
 
 
 def _piece(k: int, e: int) -> tuple[int, int]:
@@ -207,12 +218,10 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
     report = ReplayReport(n=n, mutation=mutation)
     steps = report.steps
-    current = "setup"
 
     try:
-        current = "gradsq-parts"
         zero = Polynomial.zero(ctx)
-        gradsq = grad_norm_sq(f)
+        gradsq, d1 = _gns_delta1(f)
         gparts = gradsq.homogeneous_parts()
         parts = _expected_parts(spec)
         residual = gradsq - sum(parts, zero)
@@ -222,32 +231,25 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             # check anyway so a non-homogeneous builder cannot slip through.
             diffs = (gparts.get(k, zero) - parts[k] for k in range(5))
             residual = next(filter(None, diffs), zero)
-        steps.append(_step(current, residual,
-                           "" if residual else "degrees 0..4 match exactly"))
+        _step(steps, residual, "" if residual else "degrees 0..4 match exactly")
 
-        current = "delta1-congruence"
-        d1 = delta1(f)
         d1_rest = d1 - trace * gradsq * 4
-        steps.append(_step(current, d1_rest.high_part(3),
-                           "delta1 = 4 trace(A) |grad f|^2 above degree 3"))
+        _step(steps, d1_rest.high_part(3),
+              "delta1 = 4 trace(A) |grad f|^2 above degree 3")
 
         # Steps 3 to 5 read only degrees above 7 (see the module docstring);
         # |grad f|^4 keeps the pieces whose product with |grad f|^2 gets there.
-        current = "gradsq-square"
         low = 7 - max(gparts, default=0)
         gpieces = gradsq._split(_piece)
         gsq4 = _product([(gpieces, gpieces)], lambda k, e: k > low)
         residual = sum((p for (k, _), p in gsq4.items() if k > 7), zero) - x**8 * 81
-        steps.append(_step(current, residual, "|grad f|^4 = 81 x^8 above degree 7"))
+        _step(steps, residual, "|grad f|^4 = 81 x^8 above degree 7")
 
-        current = "delta1-square"
         d1pieces = d1._split(_piece)
         d1sq = _product([(d1pieces, d1pieces)], lambda k, e: k > 7)
         residual = sum(d1sq.values(), zero) - trace**2 * x**8 * 1296
-        steps.append(_step(current, residual,
-                           "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7"))
+        _step(steps, residual, "(delta1 f)^2 = 6^4 trace(A)^2 x^8 above degree 7")
 
-        current = "defect-valuations"
         ht2 = ht * ht
         sign = Polynomial.constant(ctx, 1 if mutation == "defect-sign" else -1)
         factors = [(gsq4, {key: ht2 * p for key, p in gpieces.items()}),
@@ -281,9 +283,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             residual = sum((q for (k, _), q in dpieces.items() if k == bad[0]), zero)
         else:
             residual = axis_diff[axis_bad[0]] if axis_bad else zero
-        steps.append(_step(current, residual, detail))
+        _step(steps, residual, detail)
 
-        current = "cascade-division"
         fparts = f.homogeneous_parts()
         f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
         # The degree-k part, the sum of its pieces, is p_{k-3} f3 + p_{k-2} f2
@@ -306,16 +307,12 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             if cascade_residual.is_zero:
                 cascade_residual = rem
         detail = "p9..p6 extracted exactly; p9 = 729 Ht^2 x^9"
-        steps.append(_step(current, cascade_residual,
-                           "" if cascade_residual else detail, witness=p[9]))
+        _step(steps, cascade_residual, "" if cascade_residual else detail, witness=p[9])
 
-        current = "vanish-at-x0"
         at0 = {"x1": 0}
         residual = p[7].substitute(at0) or dpieces.get((8, 0), zero)
-        steps.append(_step(current, residual,
-                           "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0"))
+        _step(steps, residual, "p7(0, y) = 0 and defect degree-8 part vanishes at x = 0")
 
-        current = "obstruction"
         f2_at0, p6_at0 = f2.substitute(at0), p[6].substitute(at0)
         yAy, scale = spec.yAy, ht2 * -729
         yAy2 = yAy * yAy
@@ -323,35 +320,26 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # Cancel the factor f2(0, y) = y'Ay (see the module docstring).
         cancels = f2_at0 == yAy and p6_at0 == yAy2 * (yAy * scale)
         residual = zero if cancels else p6_at0 * f2_at0 - rhs
-        steps.append(_step(current, residual,
-                           "p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4", witness=rhs))
+        _step(steps, residual, "p6(0, y) f2(0, y) = -729 Ht^2 (y'Ay)^4", witness=rhs)
 
-        current = "matrix-extraction"
         a_matrix = SymMatrix(spec.A)
         y_names = [f"x{i}" for i in range(2, n + 1)]
         extracted = quad_form_to_matrix(f2_at0, y_names)
-        rebuilt = quad_form_from_matrix(extracted, y_names, ctx)
-        if rebuilt == f2_at0 and extracted == a_matrix:
-            steps.append(
-                ReplayStep(current, "pass",
-                           detail="y'Ay recovers every entry of A, so A = 0 is forced")
-            )
-        else:
-            residual = f2_at0 - rebuilt
-            if residual.is_zero:
-                rebuilt = quad_form_from_matrix(a_matrix, y_names, ctx)
-                residual = f2_at0 - rebuilt
-            steps.append(ReplayStep(current, "fail", residual=residual))
+        residual = f2_at0 - quad_form_from_matrix(extracted, y_names, ctx)
+        if residual.is_zero and extracted != a_matrix:
+            residual = f2_at0 - quad_form_from_matrix(a_matrix, y_names, ctx)
+        _step(steps, residual,
+              "" if residual else "y'Ay recovers every entry of A, so A = 0 is forced")
 
         # The printed closed-form expansion is transcription fidelity only;
         # a mismatch is recorded out of band and never fails the chain,
         # which relies solely on the step-2 congruence.
-        current = "delta1-expansion"
         expansion_residual = d1_rest - _expected_delta1_rest(spec)
         report.delta1_expansion_matches = expansion_residual.is_zero
         report.delta1_expansion_residual = expansion_residual or None
     except ExponentLimitError as exc:
-        raise ExponentLimitError(f"step {current}: {exc}") from exc
+        name = (*STEPS, "delta1-expansion")[len(steps)]
+        raise ExponentLimitError(f"step {name}: {exc}") from exc
 
     if all(s.passed for s in steps):
         report.overall = "pass"

@@ -154,7 +154,7 @@ def test_handler_is_looked_up_when_the_parser_is_built(capsys, monkeypatch):
 
     def stub(args):
         seen.append((args.command, args.poly, args.vars, args.hsq))
-        return {}, {}, 0, ["stub ran"]
+        return {}, 0, ["stub ran"]
 
     monkeypatch.setattr(cli, "cmd_check", stub)
     assert run(capsys, "check", "x1", "--vars", "3", "--hsq", "1") == (
@@ -400,6 +400,7 @@ def test_dimensions_are_bounded_before_any_context_is_built(capsys, monkeypatch)
         (["check", "x1", "--vars", "100000000", "--hsq", "1"], "--vars", cli.MAX_VARS),
         (["surface", "sphere", "--n", "100000000"], "--n", cli.MAX_VARS),
         (["sweep", "--n", "100000000", "--count", "1"], "--n", cli.MAX_SWEEP_N),
+        (["sweep", "--n", "3", "--count", "100000000"], "--count", cli.MAX_SWEEP_COUNT),
         (["replay", "--n", "1000000"], "--n", cli.MAX_REPLAY_N),
     ):
         code, out, err = run(capsys, *argv)
@@ -412,6 +413,7 @@ def test_dimensions_are_bounded_before_any_context_is_built(capsys, monkeypatch)
     (["surface", "sphere", "--n", "65"], "--n", 64),
     (["sweep", "--n", "9", "--count", "1"], "--n", 8),
     (["replay", "--n", "11"], "--n", 10),
+    (["sweep", "--n", "3", "--count", "1001"], "--count", 1000),
 ])
 def test_dimension_caps_refuse_one_past_the_cap(capsys, argv, flag, cap):
     code, out, err = run(capsys, *argv)
@@ -428,6 +430,10 @@ def test_dimension_caps_are_inclusive(capsys):
         capsys, "sweep", "--n", str(cli.MAX_SWEEP_N), "--count", "1", "--degree", "2"
     )
     assert code == 0 and "admissible: 1 of 1" in out
+    code, out, _ = run(
+        capsys, "sweep", "--n", "3", "--count", str(cli.MAX_SWEEP_COUNT), "--degree", "2"
+    )
+    assert code == 0 and f"admissible: {cli.MAX_SWEEP_COUNT} of {cli.MAX_SWEEP_COUNT}" in out
 
 
 def test_powers_with_huge_coefficients_exit_2(capsys):

@@ -1,11 +1,14 @@
+import ast
 import importlib
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
+import cmccheck.calculus as calculus_module
 import cmccheck.cubic as cubic_module
 from cmccheck.calculus import delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cubic import (
@@ -383,3 +386,44 @@ def test_matrix_extraction_failure_records(monkeypatch, patches, residual):
     assert record == ("matrix-extraction", "fail", residual, None, "")
     assert [s.passed for s in report.steps] == [True] * 8 + [False]
     assert report.overall == "fail"
+
+
+def test_step_table_is_the_one_list_of_step_names():
+    """``STEPS`` is this file's list, the docstring's numbered table and the
+    benchmark's ``REPLAY_STEPS``, in order."""
+    assert replay_module.STEPS == tuple(STEP_NAMES)
+    table = re.findall(r"^(\d)\.\s+(\S+)", replay_module.__doc__, re.M)
+    assert table == [(str(i), name) for i, name in enumerate(STEP_NAMES, start=1)]
+    workloads = Path(__file__).parents[1] / "bench" / "workloads.py"
+    bench_steps = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(workloads.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["REPLAY_STEPS"]
+    )
+    assert bench_steps == replay_module.STEPS
+
+
+def test_exponent_guard_after_step_9_names_the_expansion(monkeypatch):
+    def over_guard(spec):
+        raise ExponentLimitError("exponent 13 exceeds guard 12")
+
+    monkeypatch.setattr(replay_module, "_expected_delta1_rest", over_guard)
+    with pytest.raises(ExponentLimitError, match=r"^step delta1-expansion: "
+                       r"exponent 13 exceeds guard 12$"):
+        replay(3)
+
+
+def test_replay_forms_the_gradient_twice(monkeypatch):
+    """Steps 1 and 2 share one ``_gns_delta1`` call: the gradient of f and
+    that of ``|grad f|^2``, and no other."""
+    calls = []
+    real = calculus_module.gradient
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(calculus_module, "gradient", counted)
+    assert replay(4).passed
+    assert len(calls) == 2
