@@ -32,7 +32,6 @@ SINGULARITY_WARNING = (
 
 @dataclass(frozen=True)
 class CmcReport:
-    input: Polynomial
     hsq: Fraction
     divisible: bool
     certificate: Optional[Polynomial]
@@ -90,7 +89,6 @@ def _report(
         if not check.is_zero:
             raise RingError("zero residue modulo f, but the defect leaves a remainder")
     return CmcReport(
-        input=f,
         hsq=hsq,
         divisible=certificate is not None,
         certificate=certificate,

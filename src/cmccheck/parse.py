@@ -19,7 +19,8 @@ Parsing is linear in the size of the text.  One regular expression splits
 it into tokens.  A term of numbers and ``name^INT`` factors is folded into
 one ``(packed monomial, numerator, denominator)`` triple; only a
 parenthesised factor is a :class:`Polynomial`.  Each sum adds its terms
-into one dict and becomes a polynomial once.
+into one dict through the ring's summation loop,
+``Polynomial._accumulate``, and becomes a polynomial once.
 
 :func:`to_text` prints terms leading-first under the context's monomial
 order with coefficients in lowest terms, and its output parses back to an
@@ -123,8 +124,9 @@ class _Parser:
             self.fail(f"integer literal of {len(tok)} digits is too long", index)
 
     def expr(self) -> Polynomial:
-        # Every term goes into one dict over a common denominator, in the
-        # order a chain of ``+`` would leave, and a polynomial is built once.
+        # Every term goes into one dict over a common denominator through
+        # the loop of ``+``, ``Polynomial._accumulate``, in the order a chain
+        # of ``+`` would leave, and a polynomial is built once.
         tokens = self.tokens
         acc: dict[int, int] = {}
         den = 1
@@ -140,18 +142,7 @@ class _Parser:
                 terms = {m: c} if c else {}
             else:
                 terms, d = value._terms, value._den
-            if den % d:
-                grown = math.lcm(den, d)
-                acc = {m: c * (grown // den) for m, c in acc.items()}
-                den = grown
-            scale = sign * (den // d)
-            get = acc.get
-            for m, c in terms.items():
-                c = get(m, 0) + c * scale
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
+            acc, den = Polynomial._accumulate(acc, den, terms, d, sign)
             tok = tokens[self.pos]
             if tok == "+":
                 sign = 1

@@ -42,6 +42,10 @@ Internal layout (read only by this module, :mod:`cmccheck.divide` and
   products of a whole sum of products into one dict; ``*`` (past its
   one-term shift), ``**``, ``substitute`` (past the terms that a variable
   bound to zero drops) and the package's sums of products all use it.
+* **One summation loop.**  ``Polynomial._accumulate`` adds a term dict
+  into numerators over a common denominator, growing it to the lcm and
+  dropping what cancels; ``+`` and ``-`` (``_combine``), the constructor
+  and the parser's sums all use it.
 * **One term split.**  ``Polynomial._split`` groups terms by degree and
   x1-degree for the homogeneous parts and the replay's pieces.
 
@@ -53,7 +57,8 @@ scale by a ``Fraction`` with ``*``, and divide by a polynomial with
 :func:`cmccheck.parse.parse_polynomial` folds a term's factors into one
 packed monomial, kept carry-free with ``_check_packed`` after each product
 and raised to powers by ``_term_power`` (the one-term path of ``**``), and
-builds each sum once through ``Polynomial._from_ints``.
+adds each sum's terms with ``Polynomial._accumulate`` before building it
+once through ``Polynomial._from_ints``.
 :func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
 ``_den``, sorted on ``RingContext._sort_key``: the context's print order.
 """
@@ -304,16 +309,14 @@ class Polynomial:
         terms: Union[Mapping[tuple[int, ...], Rational], Iterable] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc, den = {}, 1
         for mono, coeff in items:
-            m = ctx._pack(mono)
-            acc[m] = acc.get(m, 0) + as_fraction(coeff)
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        self.ctx = ctx
-        self._terms = {
-            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
-        }
-        self._den = den
+            m, c = ctx._pack(mono), as_fraction(coeff)
+            if not c:
+                continue
+            acc, den = self._accumulate(acc, den, {m: c.numerator}, c.denominator, 1)
+        poly = Polynomial._from_ints(ctx, acc, den)
+        self.ctx, self._terms, self._den = ctx, poly._terms, poly._den
 
     @classmethod
     def _from_ints(
@@ -450,22 +453,28 @@ class Polynomial:
             as_fraction(other)
         return None
 
+    @staticmethod
+    def _accumulate(acc: dict, den: int, terms: Mapping, d: int, sign: int) -> tuple:
+        """Add ``sign * terms / d`` into the numerators ``acc`` over ``den``
+        and drop what cancels; returns ``(acc, den)``.  ``acc`` changes in
+        place unless ``den`` grows to the lcm.  ``terms`` holds no zero."""
+        if den % d:
+            grown = math.lcm(den, d)
+            acc, den = {m: c * (grown // den) for m, c in acc.items()}, grown
+        scale = sign * (den // d)
+        get = acc.get
+        for m, c in terms.items():
+            c = get(m, 0) + c * scale
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+        return acc, den
+
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """``self + sign * other`` over the lcm of the two denominators."""
-        da, db = self._den, other._den
-        den = da if da == db else math.lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        res = dict(self._terms) if sa == 1 else {
-            m: c * sa for m, c in self._terms.items()
-        }
-        get = res.get
-        for m, c in other._terms.items():
-            c = get(m, 0) + c * sb
-            if c:
-                res[m] = c
-            else:
-                del res[m]
-        return Polynomial._from_ints(self.ctx, res, den)
+        args = dict(self._terms), self._den, other._terms, other._den, sign
+        return Polynomial._from_ints(self.ctx, *Polynomial._accumulate(*args))
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)

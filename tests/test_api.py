@@ -110,13 +110,13 @@ def test_readme_library_example_runs(capsys):
 
 # The packed layout of ``ring.py``: ``Polynomial``'s numerators and
 # denominator, and ``RingContext``'s bit-field helpers.  Besides ring.py,
-# only divide.py (division on packed ints) and parse.py (folding and
-# printing packed terms) read it; every other module goes through the
+# only divide.py (division on packed ints) and parse.py (folding, summing
+# and printing packed terms) read it; every other module goes through the
 # Polynomial API, ``_split`` and ``_sum_of_products`` included.
 LAYOUT = {
     "_terms", "_den", "_shifts", "_units", "_mask", "_degree_mask", "_borrow",
     "_lift", "_pack", "_unpack", "_field", "_check_packed", "_check_all_packed",
-    "_sort_key", "_from_ints",
+    "_sort_key", "_from_ints", "_accumulate",
 }
 LAYOUT_MODULES = {"ring.py", "divide.py", "parse.py"}
 

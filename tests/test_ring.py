@@ -66,6 +66,22 @@ def test_construction_merges_and_drops_zeros():
     f = Polynomial(CTX3, [((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), 3)])
     assert raw_terms(f) == {(0, 1, 0): Fraction(3)}
     assert Polynomial(CTX3, {(0, 0, 0): 0}).is_zero
+    # Repeated monomials whose rational coefficients sum to an integer,
+    # cancel and reduce: the constructor, the parser and a chain of ``+``
+    # share one summation loop and leave the same canonical form.
+    x1, x2, x3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    pairs = [
+        (x1, Fraction(1, 2)), (x2, Fraction(1, 3)), (x1, Fraction(1, 2)),
+        (x3, Fraction(1, 6)), (x2, Fraction(-1, 3)), (x3, Fraction(1, 3)),
+    ]
+    f = Polynomial(CTX3, pairs)
+    reduced = Polynomial(CTX3, {x1: 1, x3: Fraction(1, 2)})
+    text = "1/2*x1 + 1/3*x2 + 1/2*x1 + 1/6*x3 - 1/3*x2 + 1/3*x3"
+    chain = sum((Polynomial(CTX3, {m: c}) for m, c in pairs), Polynomial.zero(CTX3))
+    for other in (reduced, parse_polynomial(text, CTX3), chain):
+        assert f == other
+        assert (f._terms, f._den) == (other._terms, other._den)
+    assert f._den == 2
     with pytest.raises(RingError):
         Polynomial(CTX3, {(1, 0): 1})
     with pytest.raises(RingError):
