@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Iterator, Optional
 
 from .calculus import _curvature_factor, _gns_delta1, dot, grad_norm_sq
 from .divide import DivisionResult, divide
@@ -255,8 +255,9 @@ class SweepReport:
         return len(self.admissible)
 
 
-def _random_cubic(rng: random.Random, ctx: RingContext, bound: int) -> Polynomial:
-    """Random integer-coefficient cubic with a nonzero degree-3 part."""
+def _random_cubics(rng: random.Random, ctx: RingContext, bound: int) -> Iterator[Polynomial]:
+    """Random integer-coefficient cubics with a nonzero degree-3 part, one
+    per ``next``; the exponent list is built once."""
     n = ctx.nvars
     monos = sorted(
         tuple(c.count(i) for i in range(n))
@@ -271,7 +272,7 @@ def _random_cubic(rng: random.Random, ctx: RingContext, bound: int) -> Polynomia
                 terms[mono] = c
         f = Polynomial(ctx, terms)
         if not f.homogeneous_part(3).is_zero:
-            return f
+            yield f
 
 
 def refutation_sweep(
@@ -304,10 +305,11 @@ def refutation_sweep(
     ctx = RingContext.geometric(n)
     xs = [Polynomial.variable(ctx, name) for name in ctx.geometric_variables]
     radial = dot(xs, xs)
+    cubics = _random_cubics(rng, ctx, coeff_bound)
     hits = []
     for i in range(count):
         if degree == 3:
-            f = _random_cubic(rng, ctx, coeff_bound)
+            f = next(cubics)
         else:
             a = rng.randint(1, coeff_bound)
             b = rng.randint(1, coeff_bound)

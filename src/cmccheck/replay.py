@@ -30,13 +30,41 @@ only ever uses the congruence of step 2.
 Each polynomial is built only as far as a step reads it.  Steps 3 to 5
 multiply the nonzero pieces of ``|grad f|^2`` and ``delta1 f``, keyed by
 degree and x1-degree, only where the degrees add up past 7.  Step 5 reads
-the defect's degree-k part off the keys: its x1-valuation is the least
-x1-degree of its pieces, and its restrictions to y = 0 and (step 7, k = 8)
-x = 0 are its pieces (k, k) and (8, 0).  So of the degree-8 part only
-slices 0 to 4 and 8 are formed.  Unless slice 4 is the first nonzero one,
-as on the pass path, the whole part is formed, so a failing record keeps
-its residual.  Only the step-6 dividends and a failing residual sum pieces
-into whole parts.
+the defect's degree-k part, k = 8 to 12, off the keys: its x1-valuation is
+the least x1-degree of its pieces, and its restrictions to y = 0 and (step
+7, k = 8) x = 0 are its pieces (k, k) and (8, 0).  The valuation is the
+bound ``2k - 12`` exactly when the slices below the bound are empty and the
+bound slice is not.  So step 5 forms only the slices below each bound and
+the axis piece (k, k); at k = 12 the bound is the axis.  Step 3 forms a
+piece of ``|grad f|^4`` only if it reads it itself (degree above 7) or if
+its product with a piece of ``|grad f|^2`` has a key that step 5 forms.
+
+Each bound slice of degree 8 to 11 is certified nonzero by its value at
+one integer point, ``(2, 3, ..., N + 1)`` over the context's N variables.
+Evaluation at a point is a ring homomorphism, so a nonzero value proves a
+nonzero slice, with no probability in it.  The slice is ``Ht^2`` times the
+(k, 2k - 12) piece of ``|grad f|^6``, plus the sign times the (delta1 f)^2
+piece there; so its value is ``Ht^2`` times the sum, over ordered triples
+of ``|grad f|^2`` pieces whose keys add up to (k, 2k - 12), of the product
+of their three values, plus the sign times the value of the (delta1 f)^2
+piece.  A zero value only leaves the slice open: if any value is zero, any
+slice below a bound is nonzero, or f3 is not ``x^3``, step 5 forms every
+piece of ``|grad f|^4`` whose product with ``|grad f|^2`` reaches degree
+8, and the parts of degree 8 to 12 whole, so a failing record keeps its
+residual.
+
+Step 6's dividends sum these pieces, so on the sliced path they lack the
+slices step 5 leaves out: the sum of the pieces is whole at degree 12 and
+exact in its x1-slices up to 9 at degree 11, up to 7 at degree 10 and up
+to 5 at degree 9.  Dividing by ``f3 = x^3`` is a shift: the quotient is
+the slices from 3 up, lowered by 3, and the remainder slices 0 to 2.
+Multiplying by f1 and f2 never lowers the x1-degree, so an error in a
+quotient's slices above j stays above j in the next dividends.  Going
+down, p9 is whole, p8 is exact up to slice 6, the dividend of degree 10
+up to 6 and p7 up to 3, and the dividend of degree 9 up to 3 and p6 in
+its slice 0.  Every remainder is exact, and steps 7 and 8 read only
+``p7(0,y)`` and ``p6(0,y)``, slice 0 of each.  Only the step-6 dividends
+and a failing residual sum pieces into whole parts.
 
 Step 8 first checks ``f2(0,y) = y'Ay``.  Then ``p6(0,y) f2(0,y) + 729 Ht^2
 (y'Ay)^4 = (p6(0,y) + 729 Ht^2 (y'Ay)^3) y'Ay`` with ``y'Ay != 0``, and the
@@ -194,10 +222,29 @@ def _product(factors: Sequence[tuple[dict, dict]],
 
 
 def _defect_key(k: int, e: int) -> bool:
-    """Whether steps 5 to 7 read the defect piece of degree ``k`` and
-    x1-degree ``e``: every piece of degree 9 to 12, and the x1-slices 0 to
-    4 and 8 of degree 8."""
-    return k > 8 or k == 8 and (e <= 4 or e == 8)
+    """Whether step 5 forms the defect piece of degree ``k`` and x1-degree
+    ``e``: those below the bound ``2k - 12`` and on the axis, ``e = k``."""
+    return k > 7 and (e < 2 * k - 12 or e == k)
+
+
+def _bound_values(gpieces: dict, d1sq: dict, ht2: Polynomial,
+                  sign: Polynomial, point: Sequence[int]) -> list:
+    """The values at ``point`` of the defect's bound pieces (k, 2k - 12),
+    k = 8 to 11: Ht^2 times the sum, over ordered triples of ``gpieces``
+    whose keys add up to the bound's, of their values' product, plus the
+    sign times the value of the ``d1sq`` piece there."""
+    at = {key: p._at(point) for key, p in gpieces.items()}
+    square: dict = {}
+    for (i, s), a in at.items():
+        for (j, t), b in at.items():
+            square[i + j, s + t] = square.get((i + j, s + t), 0) + a * b
+    h, sgn, values = ht2._at(point), sign._at(point), []
+    for k in range(8, 12):
+        b = 2 * k - 12
+        cube = sum(square.get((k - i, b - s), 0) * a for (i, s), a in at.items())
+        piece = d1sq.get((k, b))
+        values.append(h * cube + (sgn * piece._at(point) if piece else 0))
+    return values
 
 
 def _valuation(pieces: dict, k: int) -> Union[int, float]:
@@ -237,11 +284,16 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         _step(steps, d1_rest.high_part(3),
               "delta1 = 4 trace(A) |grad f|^2 above degree 3")
 
-        # Steps 3 to 5 read only degrees above 7 (see the module docstring);
-        # |grad f|^4 keeps the pieces whose product with |grad f|^2 gets there.
-        low = 7 - max(gparts, default=0)
+        fparts = f.homogeneous_parts()
+        f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
+        # Steps 3 to 5 read only degrees above 7, and step 5 only some of
+        # their slices (see the module docstring); |grad f|^4 keeps the
+        # pieces step 3 reads and those whose product with |grad f|^2 step 5
+        # forms.
         gpieces = gradsq._split(_piece)
-        gsq4 = _product([(gpieces, gpieces)], lambda k, e: k > low)
+        wanted = {(k - i, e - s) for k in range(8, 13) for e in range(k + 1)
+                  if _defect_key(k, e) for i, s in gpieces}
+        gsq4 = _product([(gpieces, gpieces)], lambda k, e: k > 7 or (k, e) in wanted)
         residual = sum((p for (k, _), p in gsq4.items() if k > 7), zero) - x**8 * 81
         _step(steps, residual, "|grad f|^4 = 81 x^8 above degree 7")
 
@@ -252,13 +304,21 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
 
         ht2 = ht * ht
         sign = Polynomial.constant(ctx, 1 if mutation == "defect-sign" else -1)
-        factors = [(gsq4, {key: ht2 * p for key, p in gpieces.items()}),
-                   (d1sq, {(0, 0): sign})]
-        dpieces = _product(factors, _defect_key)
-        # Slices that leave the valuation open: form the whole degree-8 part.
-        if _valuation(dpieces, 8) != 4:
-            dpieces.update(_product(factors, lambda k, e: k == 8))
-        vals = {k: _valuation(dpieces, k) for k in range(8, 13)}
+        hpieces = {key: ht2 * p for key, p in gpieces.items()}
+        d1term = (d1sq, {(0, 0): sign})
+        dpieces = _product([(gsq4, hpieces), d1term], _defect_key)
+        point = range(2, ctx.nvars + 2)
+        sliced = (f3 == x**3
+                  and all(_valuation(dpieces, k) >= 2 * k - 12 for k in range(8, 13))
+                  and all(_bound_values(gpieces, d1sq, ht2, sign, point)))
+        if not sliced:
+            # A miss: form the parts whole, so a failing record keeps its
+            # residual.
+            low = 7 - max(gparts, default=0)
+            gsq4 = _product([(gpieces, gpieces)], lambda k, e: k > low)
+            dpieces = _product([(gsq4, hpieces), d1term], lambda k, e: k > 7)
+        vals = {k: 2 * k - 12 if sliced and k < 12 else _valuation(dpieces, k)
+                for k in range(8, 13)}
         bad = [k for k in range(8, 13) if vals[k] < 2 * k - 12]
         detail = ", ".join(f"deg {k}: val {vals[k]} (need {2*k-12})" for k in range(8, 13))
         # On the x-axis (y = 0) each part, its piece (k, k), must equal the
@@ -285,8 +345,6 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
             residual = axis_diff[axis_bad[0]] if axis_bad else zero
         _step(steps, residual, detail)
 
-        fparts = f.homogeneous_parts()
-        f1, f2, f3 = (fparts.get(k, zero) for k in (1, 2, 3))
         # The degree-k part, the sum of its pieces, is p_{k-3} f3 + p_{k-2} f2
         # + p_{k-1} f1, so the parts p9..p6 come top down, each by an exact
         # division by f3.  The first nonzero miss is the residual: a

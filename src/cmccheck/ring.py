@@ -591,6 +591,28 @@ class Polynomial:
                 terms[m - unit] = c * e
         return Polynomial._from_ints(ctx, terms, self._den)
 
+    def _at(self, point: Sequence[int]) -> Rational:
+        """The value at ``point``, one int per variable in context order;
+        an int when the denominator is 1.  Each monomial is read one nonzero
+        field at a time, as ``to_text`` reads it, and each field's power is
+        formed once per call."""
+        ctx, total, powers = self.ctx, 0, {}
+        width, low = ctx._mask.bit_length(), ctx._degree_mask.bit_length()
+        values = tuple(point)[::-1]
+        for m, c in self._terms.items():
+            m >>= low
+            while m:
+                shift = m.bit_length() - 1
+                shift -= shift % width
+                field = m >> shift << shift
+                power = powers.get(field)
+                if power is None:
+                    power = powers[field] = values[shift // width] ** (field >> shift)
+                c *= power
+                m -= field
+            total += c
+        return total if self._den == 1 else Fraction(total, self._den)
+
     # ------------------------------------------------------------------
     # substitution
 

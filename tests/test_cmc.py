@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 from fractions import Fraction
@@ -9,7 +10,7 @@ from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cmc import (
     IRREDUCIBILITY_WARNING,
     SINGULARITY_WARNING,
-    _random_cubic,
+    _random_cubics,
     check_cmc,
     make_surface,
     refutation_sweep,
@@ -168,8 +169,7 @@ def _solve_hsq_cases(rng):
     """Inputs that fail the top-form test, pass it and miss, or are hits."""
     for n, count in ((3, 12), (4, 4)):
         ctx = RingContext.geometric(n)
-        for _ in range(count):
-            yield _random_cubic(rng, ctx, 5)
+        yield from islice(_random_cubics(rng, ctx, 5), count)
     for n in (2, 3, 4):
         ctx = RingContext.geometric(n)
         xs = [Polynomial.variable(ctx, v) for v in ctx.geometric_variables]
@@ -229,7 +229,7 @@ def test_solve_hsq_rejects_on_the_top_form_alone(monkeypatch):
 
     monkeypatch.setattr("cmccheck.cmc.divide", spy)
     ctx = RingContext.geometric(3)
-    f = _random_cubic(random.Random(1), ctx, 5)
+    f = next(_random_cubics(random.Random(1), ctx, 5))
     assert solve_hsq(f) is None
     [(dividend, divisor)] = calls
     assert not dividend.is_zero
@@ -271,7 +271,7 @@ def _check_cmc_cases(rng):
             f, hsq = _translated_quadric(rng, kind, n)
             yield f, hsq
             yield f, hsq * Fraction(rng.randint(2, 5), rng.randint(1, 3)) + 1
-        yield _random_cubic(rng, ctx, 5), trial
+        yield next(_random_cubics(rng, ctx, 5)), trial
         line = sum((x * rng.randint(-3, 3) for x in xs[1:]), xs[0] * rng.randint(1, 3))
         yield line**3 + random_homogeneous(rng, ctx, 2, 3), trial
         yield line**3, trial
@@ -314,7 +314,7 @@ def test_negative_check_never_forms_the_defect(monkeypatch):
         for n in (2, 3, 4):
             f, hsq = _translated_quadric(rng, kind, n)
             cases.append((f, hsq * 2))
-    cubics = [_random_cubic(rng, ctx, 5) for _ in range(3)]
+    cubics = list(islice(_random_cubics(rng, ctx, 5), 3))
     cubics.append((x1 + 2 * x2 - x3) ** 3 + random_homogeneous(rng, ctx, 2, 4))
     cases += [(f, Fraction(1, 3)) for f in cubics]
     for f, hsq in cases:
@@ -510,7 +510,7 @@ def test_random_cubic_draws_are_pinned(n):
     texts = []
     for seed in range(5):
         rng = random.Random(seed)
-        texts += [to_text(_random_cubic(rng, ctx, 5)) for _ in range(2)]
+        texts += map(to_text, islice(_random_cubics(rng, ctx, 5), 2))
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == RANDOM_CUBIC_SHA256[n]
 

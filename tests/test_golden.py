@@ -21,7 +21,7 @@ import pytest
 from cmccheck.cli import main
 from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.replay import replay
-from cmccheck.ring import RingContext
+from cmccheck.ring import Polynomial, RingContext
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text())
@@ -149,3 +149,33 @@ MUTATION_SHA256 = {
 def test_failing_replay_records_at_larger_n(mutation, n):
     text = json.dumps(replay_record(n, mutation), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MUTATION_SHA256[mutation, n]
+
+
+# The sha256 of ``json.dumps(replay_record(n, mutation), sort_keys=True)``
+# at n = 3 to 5, recorded before step 5 certified its bound slices by their
+# values at one integer point.  Forcing every value to 0 takes the
+# whole-part fallback; both paths must give these records.
+RECORD_SHA256 = {
+    (None, 3): "025984b8bd7f439e576054e1eb7493f496ecbe41513853467824e0731470e914",
+    (None, 4): "11aeb618da8161bd342950db1de2333e6145c8227861523cb3e873b324b562f6",
+    (None, 5): "8d45fb8eac222bb12a294311c928101af5ee876fe59dda72975cd92326ef653c",
+    ("cubic-part", 3): "30fd282c696567dbb02ceeec6c7359797718410b834bd4afc0fa12d33b4f3ac3",
+    ("cubic-part", 4): "872a0ec080821de97a434ebb543ab57f93bfa73acc431bb223010358ed89ba99",
+    ("cubic-part", 5): "21b87b55c5db5720f00e98493b6ee08fc99828cb30a79c51a773232b0db71b24",
+    ("defect-sign", 3): "605c944cd07391758ed060873e21a3784d616e443f46215b5fe79f7b3c171b1f",
+    ("defect-sign", 4): "06e63fcbc739bf6ad24965a6896304c6a49f6b44390edb8525cc0c1c6feed400",
+    ("defect-sign", 5): "72600c647036cb22ad3ceb8be798a58b8b82da04ad3a64e63b183642f25112ab",
+}
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["certified", "forced-zero"])
+@pytest.mark.parametrize("mutation, n", list(RECORD_SHA256),
+                         ids=[f"{m}-n={n}" for m, n in RECORD_SHA256])
+def test_replay_records_with_and_without_the_fallback(monkeypatch, forced, mutation, n):
+    calls = []
+    if forced:
+        monkeypatch.setattr(Polynomial, "_at", lambda self, point: calls.append(0) or 0)
+    text = json.dumps(replay_record(n, mutation), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_SHA256[mutation, n]
+    # "cubic-part" fails its degree-8 bound, so it never evaluates.
+    assert bool(calls) == (forced and mutation != "cubic-part")

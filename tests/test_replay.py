@@ -23,6 +23,7 @@ from cmccheck.replay import MUTATIONS, _expected_delta1_rest, replay
 from cmccheck.ring import (
     ExponentLimitError, Polynomial, RingContext, RingError,
 )
+from oracles import raw_evaluate
 
 STEP_NAMES = [
     "gradsq-parts",
@@ -209,8 +210,8 @@ def _part(pieces, k):
 
 
 def test_graded_defect_parts_equal_the_full_defect():
-    """Steps 3 to 5 form |grad f|^4 above degree 3, |grad f|^6 and
-    (delta1 f)^2 above degree 7, from pieces keyed by degree and x1-degree;
+    """Step 5's whole-part path forms |grad f|^4 above degree 3, |grad f|^6
+    and (delta1 f)^2 above degree 7, from pieces keyed by degree and x1-degree;
     each piece must equal the x1-degree filter of the full product's part,
     and the degree-k parts those of the full products."""
     product, piece = replay_module._product, replay_module._piece
@@ -256,44 +257,87 @@ def test_product_drops_cancelled_pieces():
 
 
 def test_degree8_slices_are_the_x_degree_filter_of_the_defect(monkeypatch):
-    """Step 5 first forms the defect's degree-8 part only in its x1-slices
-    0 to 4 and 8, and its parts of degree 9 to 12 whole.  On the pass path
-    slices 0 to 3 are empty; "cubic-part" fills slices 2 and 3 (and then
-    step 5 forms the part whole), and a dense square fills every slice."""
-    real = replay_module._product
-    kept = (0, 1, 2, 3, 4, 8).__contains__
+    """Step 5 first forms the defect's degree-k part, k = 8 to 12, only in
+    the x1-slices below the bound 2k - 12 and on the axis slice k, and
+    certifies each bound slice of degree 8 to 11 by its value at one integer
+    point.  Each formed piece is the x1-filter of the full defect's part,
+    and each certified value the filter's value at that point.  On the pass
+    path the slices below the bounds are empty and the dropped slices are
+    not; "cubic-part" fills slices 2 and 3 of degree 8, so nothing is
+    evaluated (and step 5 forms the parts whole); a dense square fills
+    every slice."""
+    real, real_values = replay_module._product, replay_module._bound_values
+    defect_key = replay_module._defect_key
     cases = [(n, None) for n in (3, 4, 5)] + [(n, "cubic-part") for n in (3, 4)]
     for n, mutation in cases:
-        formed = []
+        formed, certified = [], []
 
         def spy(factors, keep):
             out = real(factors, keep)
-            if keep is replay_module._defect_key:
-                formed.append(dict(out))  # step 5 may update ``out``
+            if keep is defect_key:
+                formed.append(out)
             return out
 
+        def spy_values(*args):
+            values = real_values(*args)
+            certified.append((args[-1], values))
+            return values
+
         monkeypatch.setattr(replay_module, "_product", spy)
+        monkeypatch.setattr(replay_module, "_bound_values", spy_values)
         assert replay(n, mutation).passed == (mutation is None), n
         [dpieces] = formed
         f, spec = generic_cubic(n)
         if mutation:
             f = f - spec.x**3 + spec.x**2 * spec.y[0]
         parts = symbolic_defect(f).homogeneous_parts()
-        assert _part(dpieces, 8) == _x_filter(parts[8], kept), (n, mutation)
-        # The dropped slices are not empty.
-        assert not _x_filter(parts[8], lambda e: not kept(e)).is_zero, n
-        valuation = min(m[0] for m in _part(dpieces, 8).monomials())
-        assert valuation == (2 if mutation else 4), (n, mutation)
         assert max(parts) == 12, n
-        for k in range(9, 13):
-            assert _part(dpieces, k) == parts[k], (n, mutation, k)
+        expected = {(k, e): _x_filter(parts[k], e.__eq__)
+                    for k in range(8, 13) for e in range(k + 1) if defect_key(k, e)}
+        assert dpieces == {key: q for key, q in expected.items() if q}, (n, mutation)
+        valuation = min(m[0] for m in _part(dpieces, 8).monomials())
+        assert valuation == (2 if mutation else 8), (n, mutation)
+        if mutation:
+            assert certified == [], n
+            continue
+        [(point, values)] = certified
+        at = dict(zip(f.ctx.variables, point))
+        for k, value in zip(range(8, 12), values):
+            bound = _x_filter(parts[k], (2 * k - 12).__eq__)
+            assert value == raw_evaluate(bound, at) != 0, (n, k)
+            # The slices left out hold terms.
+            assert not _x_filter(parts[k], lambda e: not defect_key(k, e)).is_zero, (n, k)
     f, _ = generic_cubic(3)
     g = (Polynomial.variable(f.ctx, "x1") + Polynomial.variable(f.ctx, "x2") + 1)**4
     pieces = g._split(replay_module._piece)
     part8 = (g * g).homogeneous_part(8)
     assert {m[0] for m in part8.monomials()} == set(range(9))
-    assert real([(pieces, pieces)], replay_module._defect_key) == {
-        (8, e): _x_filter(part8, e.__eq__) for e in range(9) if kept(e)}
+    assert real([(pieces, pieces)], defect_key) == {
+        (8, e): _x_filter(part8, e.__eq__) for e in (0, 1, 2, 3, 8)}
+
+
+def test_the_pass_path_never_falls_back(monkeypatch):
+    """On the pass path at n = 3 to 8, ``_product`` runs five times: step
+    3 forms no degree-4 piece of |grad f|^4 below x1-degree 4, and step 5
+    forms no piece (k, e) with ``2k - 12 <= e < k``, k = 8 to 11.  The
+    whole-part fallback would add two more calls."""
+    real = replay_module._product
+    formed = []
+
+    def spy(factors, keep):
+        out = real(factors, keep)
+        formed.append((keep, set(out)))
+        return out
+
+    monkeypatch.setattr(replay_module, "_product", spy)
+    for n in range(3, 9):
+        formed.clear()
+        assert replay(n).passed, n
+        assert len(formed) == 5, n
+        (_, gsq4), _, (keep, dkeys) = formed[:3]
+        assert keep is replay_module._defect_key, n
+        assert not [e for k, e in gsq4 if k == 4 and e < 4], n
+        assert not [(k, e) for k, e in dkeys if 8 <= k <= 11 and 2 * k - 12 <= e < k], n
 
 
 def _full_product(factors, keep):

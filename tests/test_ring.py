@@ -312,6 +312,21 @@ def test_substitute_agrees_with_evaluate():
         assert via_subst == Polynomial.constant(CTXP, direct)
 
 
+def test_value_at_an_integer_point_matches_raw_evaluate():
+    """``_at`` reads each monomial's nonzero fields; it must agree with the
+    reference that unpacks exponent tuples, zero polynomial included."""
+    rng = random.Random(47)
+    for ctx in (CTX3, CTXP, LEX3):
+        for _ in range(60):
+            f = random_polynomial(rng, ctx, max_degree=6, max_terms=8)
+            point = [rng.randint(-4, 4) for _ in ctx.variables]
+            assert f._at(point) == raw_evaluate(f, dict(zip(ctx.variables, point)))
+        assert Polynomial.zero(ctx)._at(range(ctx.nvars)) == 0
+    # An exponent at the guard fills its field up to the guard bit.
+    f = Polynomial(CTX3, {(DEFAULT_EXPONENT_GUARD, 0, 1): Fraction(1, 3)})
+    assert f._at((-1, 5, 2)) == Fraction(-2, 3)
+
+
 def test_zero_scalars_agree_with_constant_polynomial_values():
     """A rational and the same value bound as a constant polynomial take
     one path: a zero of either kind drops whole terms by a mask test, and
