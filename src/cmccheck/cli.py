@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .calculus import cmc_defect
 from .cmc import check_cmc, make_surface, refutation_sweep, solve_hsq
@@ -33,8 +33,9 @@ TERM_CAP = 200
 # modulo f (``check --hsq solve`` on a cubed dense linear form plus a dense
 # quadratic takes 0.6 to 0.8 s and 27 MB at n = 8, 1.9 s and 39 MB at
 # n = 9, 4.2 s and 55 MB at n = 10, as a process on a 2-core Intel Xeon);
-# ``replay --n 10 --json`` takes 2.2 to 3.0 s and 139 MB there.  The
-# sweep count bounds the hits a sweep keeps (about 5 KB each at degree 2):
+# ``replay --n 10`` takes 1.3 to 1.5 s with ``--json`` and 0.5 s as text,
+# 97 MB either way, there.  The sweep count bounds the hits a sweep keeps
+# (about 5 KB each at degree 2):
 # ``sweep --n 8 --count 1000`` takes at most 6.1 s and 21 MB there.
 MAX_VARS = 64
 MAX_SWEEP_N = 8
@@ -68,34 +69,36 @@ def _context(nvars: int) -> RingContext:
 
 def _polynomial(args: argparse.Namespace) -> Polynomial:
     """The command's polynomial over ``--vars`` variables; ``args.poly``
-    becomes its printed form, which the envelope echoes."""
+    becomes its printed form, which the envelope echoes.  Printing it here,
+    in either mode, refuses an input too long to print before any other
+    check runs."""
     f = parse_polynomial(args.poly, _context(args.vars))
     args.poly = to_text(f)
     return f
 
 
-def _clip(f: Polynomial, full: bool, text: str) -> str:
-    """``text``, the printed ``f``, or a placeholder past the term cap."""
+def _clip(f: Polynomial, full: bool) -> str:
+    """The printed ``f``, or a placeholder past the term cap (and then
+    ``f`` is never rendered)."""
     if not full and len(f) > TERM_CAP:
         return f"<{len(f)} terms; rerun with --full to print>"
-    return text
+    return to_text(f)
 
 
-def _text(f: Optional[Polynomial]) -> Optional[str]:
-    return None if f is None else to_text(f)
-
-
-def _fr(value: Optional[Fraction]) -> Optional[str]:
-    return None if value is None else str(value)
+def _printed(value: Polynomial | Fraction) -> str:
+    """A polynomial or rational of the JSON envelope, as printed text."""
+    return str(value) if isinstance(value, Fraction) else to_text(value)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
-# Each returns ``(result, exit_code, text_lines)``; :func:`main` prints
-# either the JSON envelope of the command's arguments and result or the
-# text lines.
-_Output = tuple[dict, int, list[str]]
+# Each returns ``(result, exit_code, text_lines)``.  ``result`` holds raw
+# polynomials and rationals, which the JSON envelope prints through
+# :func:`_printed`; ``text_lines`` builds the text output when called.
+# :func:`main` prints one or the other, so each mode renders only what it
+# prints.
+_Output = tuple[dict, int, Callable[[], list[str]]]
 
 
 def cmd_check(args: argparse.Namespace) -> _Output:
@@ -105,58 +108,50 @@ def cmd_check(args: argparse.Namespace) -> _Output:
     # With no admissible curvature there is no report: nothing divides.
     result = {
         "solved": solved,
-        "hsq": _fr(report.hsq) if report else None,
+        "hsq": report and report.hsq,
         "divisible": report is not None and report.divisible,
-        "certificate": _text(report.certificate) if report else None,
-        "witness_remainder": _text(report.witness_remainder) if report else None,
+        "certificate": report and report.certificate,
+        "witness_remainder": report and report.witness_remainder,
         "warnings": list(report.warnings) if report else [],
     }
     if report is None:
-        lines = ["no admissible squared curvature exists for this polynomial"]
-        return result, 1, lines
-    lines = [
+        return result, 1, lambda: ["no admissible squared curvature exists for this polynomial"]
+    verdict, label, shown = (
+        ("divisible (algebraic CMC condition holds)", "certificate", report.certificate)
+        if report.divisible else
+        ("not divisible", "witness remainder", report.witness_remainder)
+    )
+    return result, 0 if report.divisible else 1, lambda: [
         f"polynomial: {args.poly}",
-        f"hsq: {result['hsq']}" + (" (solved)" if solved else ""),
+        f"hsq: {report.hsq}" + (" (solved)" if solved else ""),
+        f"verdict: {verdict}",
+        f"{label}: {_clip(shown, args.full)}",
+        *(f"warning: {w}" for w in report.warnings),
     ]
-    if report.divisible:
-        cert = _clip(report.certificate, args.full, result["certificate"])
-        lines += ["verdict: divisible (algebraic CMC condition holds)",
-                  f"certificate: {cert}"]
-    else:
-        rem = _clip(report.witness_remainder, args.full, result["witness_remainder"])
-        lines += ["verdict: not divisible", f"witness remainder: {rem}"]
-    lines += [f"warning: {w}" for w in report.warnings]
-    return result, 0 if report.divisible else 1, lines
 
 
 def cmd_defect(args: argparse.Namespace) -> _Output:
     d = cmc_defect(_polynomial(args), _rational(args.hsq))
-    degree = d.total_degree()
-    result = {
-        "defect": to_text(d),
-        "terms": len(d),
-        "total_degree": None if d.is_zero else int(degree),
-    }
-    lines = [
-        f"defect: {_clip(d, args.full, result['defect'])}",
-        f"terms: {len(d)}, total degree: {result['total_degree']}",
+    degree = None if d.is_zero else int(d.total_degree())
+    return {"defect": d, "terms": len(d), "total_degree": degree}, 0, lambda: [
+        f"defect: {_clip(d, args.full)}",
+        f"terms: {len(d)}, total degree: {degree}",
     ]
-    return result, 0, lines
 
 
 def cmd_decompose(args: argparse.Namespace) -> _Output:
-    f = _polynomial(args)
-    parts = {str(k): to_text(p) for k, p in f.homogeneous_parts().items()}
-    lines = [f"degree {k}: {text}" for k, text in parts.items()] or ["0"]
-    return {"parts": parts}, 0, lines
+    parts = {str(k): p for k, p in _polynomial(args).homogeneous_parts().items()}
+    return {"parts": parts}, 0, lambda: [
+        f"degree {k}: {to_text(p)}" for k, p in parts.items()
+    ] or ["0"]
 
 
 def cmd_cube_test(args: argparse.Namespace) -> _Output:
     root = cube_root_cubic_form(_polynomial(args))
-    result = {"is_cube": root is not None, "root": _text(root)}
+    result = {"is_cube": root is not None, "root": root}
     if root is None:
-        return result, 1, ["not the cube of a linear form"]
-    return result, 0, [f"cube root: {result['root']}"]
+        return result, 1, lambda: ["not the cube of a linear form"]
+    return result, 0, lambda: [f"cube root: {to_text(root)}"]
 
 
 def cmd_surface(args: argparse.Namespace) -> _Output:
@@ -166,59 +161,42 @@ def cmd_surface(args: argparse.Namespace) -> _Output:
     )
     report = solve_hsq(f)
     verified = (report.hsq, report.certificate) == (hsq, certificate) if report else hsq is None
-    result = {
-        "polynomial": to_text(f),
-        "hsq": _fr(hsq),
-        "certificate": _text(certificate),
-        "verified": verified,
-    }
-    lines = [
-        f"polynomial: {result['polynomial']}",
+    result = {"polynomial": f, "hsq": hsq, "certificate": certificate, "verified": verified}
+    return result, 0 if verified else 1, lambda: [
+        f"polynomial: {to_text(f)}",
         f"hsq: {hsq if hsq is not None else 'none admissible'}",
+        *([f"certificate: {_clip(certificate, args.full)}"] if certificate is not None else []),
+        f"verified: {'yes' if verified else 'no'}",
     ]
-    if certificate is not None:
-        cert = _clip(certificate, args.full, result["certificate"])
-        lines.append(f"certificate: {cert}")
-    lines.append(f"verified: {'yes' if verified else 'no'}")
-    return result, 0 if verified else 1, lines
 
 
 def cmd_replay(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise RingError("replay needs dimension n >= 3")
     report = replay(_at_most(args.n, MAX_REPLAY_N, "--n"))
-    steps = [
-        {
-            "name": s.name,
-            "status": s.status,
-            "residual": _text(s.residual),
-            "witness": _text(s.witness),
-            "detail": s.detail,
-        }
-        for s in report.steps
-    ]
     result = {
         "overall": report.overall,
-        "steps": steps,
+        "steps": [
+            {"name": s.name, "status": s.status, "residual": s.residual,
+             "witness": s.witness, "detail": s.detail}
+            for s in report.steps
+        ],
         "delta1_expansion": {
             "matches": report.delta1_expansion_matches,
-            "residual": _text(report.delta1_expansion_residual),
+            "residual": report.delta1_expansion_residual,
         },
     }
-    lines = [f"replaying the cubic nonexistence chain for n = {args.n}"]
-    for i, (s, step) in enumerate(zip(report.steps, steps), start=1):
-        line = f"step {i} {s.name}: {s.status}"
-        if s.detail:
-            line += f" ({s.detail})"
-        lines.append(line)
-        if s.residual is not None:
-            residual = _clip(s.residual, args.full, step["residual"])
-            lines.append(f"  residual: {residual}")
-    note = "matches" if report.delta1_expansion_matches else "differs"
-    lines += [
-        f"printed delta1 expansion {note} (informational)",
-        f"overall: {report.overall}",
-    ]
+
+    def lines() -> list[str]:
+        out = [f"replaying the cubic nonexistence chain for n = {args.n}"]
+        for i, s in enumerate(report.steps, start=1):
+            out.append(f"step {i} {s.name}: {s.status}" + (f" ({s.detail})" if s.detail else ""))
+            if s.residual is not None:
+                out.append(f"  residual: {_clip(s.residual, args.full)}")
+        note = "matches" if report.delta1_expansion_matches else "differs"
+        return out + [f"printed delta1 expansion {note} (informational)",
+                      f"overall: {report.overall}"]
+
     return result, 0 if report.passed else 1, lines
 
 
@@ -228,26 +206,24 @@ def cmd_sweep(args: argparse.Namespace) -> _Output:
     report = refutation_sweep(
         n, count, coeff_bound=args.bound, seed=args.seed, degree=args.degree
     )
-    hits = [
-        {
-            "index": h.index,
-            "polynomial": to_text(h.polynomial),
-            "hsq": str(h.hsq),
-        }
-        for h in report.admissible
-    ]
-    result = {"admissible_count": report.admissible_count, "admissible": hits}
-    lines = [
-        f"sweep: n={args.n} degree={args.degree} count={args.count} "
-        f"bound={args.bound} seed={args.seed}",
-        f"admissible: {report.admissible_count} of {args.count}",
-    ]
-    lines += [f"  [{h['index']}] hsq={h['hsq']}: {h['polynomial']}" for h in hits]
+    result = {
+        "admissible_count": report.admissible_count,
+        "admissible": [
+            {"index": h.index, "polynomial": h.polynomial, "hsq": h.hsq}
+            for h in report.admissible
+        ],
+    }
     if args.degree == 3:
         code = 0 if report.admissible_count == 0 else 1
     else:
         code = 0 if report.admissible_count == args.count else 1
-    return result, code, lines
+    return result, code, lambda: [
+        f"sweep: n={args.n} degree={args.degree} count={args.count} "
+        f"bound={args.bound} seed={args.seed}",
+        f"admissible: {report.admissible_count} of {args.count}",
+        *(f"  [{h.index}] hsq={h.hsq}: {to_text(h.polynomial)}"
+          for h in report.admissible),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -332,23 +308,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         result, code, lines = args.func(args)
+        if args.json:
+            # The inputs echo the command's own arguments, ``poly`` as printed.
+            inputs = {"polynomial" if k == "poly" else k: v for k, v in vars(args).items()
+                      if k not in ("command", "func", "json", "full")}
+            envelope = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+            }
+            text = json.dumps(envelope, sort_keys=True, indent=2, default=_printed)
+        else:
+            text = "\n".join(lines())
     except (ValueError, ZeroDivisionError) as exc:
-        # ParseError and RingError are ValueErrors too.
+        # ParseError and RingError are ValueErrors too.  A polynomial too
+        # long to print fails as it is rendered, before anything is printed.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        # The inputs echo the command's own arguments, ``poly`` as printed.
-        inputs = {"polynomial" if k == "poly" else k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "json", "full")}
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-        }
-        text = json.dumps(envelope, sort_keys=True, indent=2)
-    else:
-        text = "\n".join(lines)
     try:
         print(text)
         sys.stdout.flush()

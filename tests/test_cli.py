@@ -109,6 +109,20 @@ def test_integers_past_the_text_limit_exit_2_with_context(capsys, argv, message)
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
+def test_a_result_too_long_to_print_fails_only_where_it_is_printed(capsys):
+    """The defect of this cubic has 224 terms and a coefficient of about
+    4,800 digits.  ``--json`` and ``--full`` render it and exit 2; the
+    text placeholder never renders it, so the text run prints and exits 0."""
+    argv = ["defect", f"{'7' * 800}*x1^3 + x2^3 + x3^3 + x1*x2*x3 + x1 + x2",
+            "--vars", "3", "--hsq", "1"]
+    message = "error: a coefficient of about 4804 digits is too long to print\n"
+    for flag in ("--json", "--full"):
+        assert run(capsys, *argv, flag) == (2, "", message)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("defect: <224 terms; rerun with --full to print>\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "x1", "--vars", "1", "--hsq"],
     ["defect", "x1", "--vars", "1", "--hsq"],
@@ -154,7 +168,7 @@ def test_handler_is_looked_up_when_the_parser_is_built(capsys, monkeypatch):
 
     def stub(args):
         seen.append((args.command, args.poly, args.vars, args.hsq))
-        return {}, 0, ["stub ran"]
+        return {}, 0, lambda: ["stub ran"]
 
     monkeypatch.setattr(cli, "cmd_check", stub)
     assert run(capsys, "check", "x1", "--vars", "3", "--hsq", "1") == (
@@ -456,11 +470,115 @@ def test_clip_respects_term_cap():
     x = Polynomial.variable(ctx, "x1")
     big = sum((x**k for k in range(TERM_CAP + 1)), Polynomial.zero(ctx))
     assert len(big) == TERM_CAP + 1
-    clipped = _clip(big, False, to_text(big))
-    assert clipped == f"<{TERM_CAP + 1} terms; rerun with --full to print>"
-    assert _clip(big, True, to_text(big)).count("+") == TERM_CAP
+    assert _clip(big, False) == f"<{TERM_CAP + 1} terms; rerun with --full to print>"
+    assert _clip(big, True).count("+") == TERM_CAP
     small = x + 1
-    assert _clip(small, False, to_text(small)) == "x1 + 1"
+    assert _clip(small, False) == "x1 + 1"
+
+
+def _spy_renders(monkeypatch):
+    """The polynomials ``cli.to_text`` renders from now on, in call order."""
+    rendered = []
+
+    def spy(f):
+        rendered.append(f)
+        return to_text(f)
+
+    monkeypatch.setattr(cli, "to_text", spy)
+    return rendered
+
+
+def _spy_text_lines(monkeypatch, handler):
+    """The runs of ``handler`` whose text-line builder was called."""
+    built = []
+    original = getattr(cli, handler)
+
+    def spy(args):
+        result, code, lines = original(args)
+        return result, code, lambda: built.append(handler) or lines()
+
+    monkeypatch.setattr(cli, handler, spy)
+    return built
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_text_replay_renders_no_witness(capsys, monkeypatch, n):
+    """A passing replay has no residual to print, so its text renders no
+    polynomial: none of the step witnesses that ``--json`` prints."""
+    rendered = _spy_renders(monkeypatch)
+    code, out, _ = run(capsys, "replay", "--n", str(n))
+    assert code == 0 and "overall: pass" in out
+    assert rendered == []
+
+
+# Each clips one polynomial in text mode and renders one other: the input,
+# for its echo (check, defect), or the 21-term sphere it prints (surface,
+# whose 210-term certificate is a multiple of (x1^2 + ... + x20^2)^2).
+CLIPPED = [
+    (["check", "x1^3 + x2^3 + x3^3 + x4^3 + x1*x2*x3 + x1 + x2", "--vars", "4",
+      "--hsq", "3/2"], "witness remainder: <516 terms"),
+    (["defect", "x1^3 + x2^3 + x3^3 + x1*x2*x3 + x1 + x2", "--vars", "3",
+      "--hsq", "1"], "defect: <"),
+    (["surface", "sphere", "--n", "20"], "certificate: <210 terms"),
+]
+
+
+@pytest.mark.parametrize("argv, clipped", CLIPPED, ids=[argv[0] for argv, _ in CLIPPED])
+def test_text_mode_never_renders_what_it_clips(capsys, monkeypatch, argv, clipped):
+    rendered = _spy_renders(monkeypatch)
+    _, out, err = run(capsys, *argv)
+    assert clipped in out and err == ""
+    assert len(rendered) == 1 and len(rendered[0]) <= TERM_CAP
+
+
+# Keys whose values in a JSON envelope are printed polynomials (or null);
+# ``parts`` maps degrees to them.
+_POLYNOMIAL_KEYS = {"polynomial", "certificate", "witness_remainder", "defect",
+                    "root", "residual", "witness"}
+
+
+def _polynomial_texts(node):
+    if isinstance(node, list):
+        for item in node:
+            yield from _polynomial_texts(item)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key == "parts":
+                yield from value.values()
+            elif key in _POLYNOMIAL_KEYS:
+                if value is not None:
+                    yield value
+            else:
+                yield from _polynomial_texts(value)
+
+
+JSON_RUNS = [
+    (CLIPPED[0][0], "cmd_check"),
+    ([*CLIPPED[0][0][:-1], "solve"], "cmd_check"),
+    (["check", SPHERE, "--vars", "3", "--hsq", "1"], "cmd_check"),
+    (CLIPPED[1][0], "cmd_defect"),
+    (["decompose", "(x1+x2+x3+x4+x5+1)^6", "--vars", "5"], "cmd_decompose"),
+    (["cube-test", "(x1 + 2*x2)^3", "--vars", "2"], "cmd_cube_test"),
+    (CLIPPED[2][0], "cmd_surface"),
+    (["surface", "plane", "--n", "3"], "cmd_surface"),
+    (["replay", "--n", "4"], "cmd_replay"),
+    (["sweep", "--n", "3", "--count", "3", "--seed", "42", "--degree", "2"], "cmd_sweep"),
+]
+
+
+@pytest.mark.parametrize("argv, handler", JSON_RUNS,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in JSON_RUNS])
+def test_json_mode_renders_each_polynomial_once_and_no_text(capsys, monkeypatch,
+                                                           argv, handler):
+    built = _spy_text_lines(monkeypatch, handler)
+    rendered = _spy_renders(monkeypatch)
+    _, out, err = run(capsys, *argv, "--json")
+    assert err == "" and built == []
+    texts = sorted(_polynomial_texts(json.loads(out)))
+    assert texts and sorted(map(to_text, rendered)) == texts
+    # The spy is hooked: text mode calls the builder once.
+    run(capsys, *argv)
+    assert built == [handler]
 
 
 def test_closed_stdout_exits_quietly_with_the_command_code():
