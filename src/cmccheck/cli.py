@@ -232,7 +232,8 @@ def cmd_sweep(args: argparse.Namespace) -> _Output:
 # One entry per command: its help line and its ``(flag, add_argument
 # kwargs)`` rows; every command also takes the ``_COMMON`` rows.  The
 # handler of command ``name`` is ``cmd_<name>`` ("-" read as "_"), looked up
-# when a parser is built, so a rebound handler is the one that runs.
+# by :func:`_handler` on every call, so a rebound handler is the one that
+# runs.
 _NEEDED_INT = {"type": int, "required": True}
 _POLY_VARS = [("poly", {}), ("--vars", _NEEDED_INT)]
 _COMMANDS = {
@@ -269,24 +270,24 @@ _COMMON = [
 ]
 
 
+def _handler(name: str) -> Callable[[argparse.Namespace], _Output]:
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
 def _fill(parser: argparse.ArgumentParser, name: str) -> None:
     for flag, kwargs in _COMMANDS[name][1] + _COMMON:
         parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+    parser.set_defaults(func=_handler(name))
     # A polynomial or rational may start with "-" ("-x1", "-1/2"): read any
     # single-dash word that is not a known option as a value.  Known options
     # such as -h are matched before this test.
     parser._negative_number_matcher = re.compile(r"^-[^-]")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, which parses, prints and rejects as
-    its subparser in the full parser does, or the full parser when None."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"cmccheck {command}")
-        parser.set_defaults(command=command)
-        _fill(parser, command)
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands.  :func:`main` builds it afresh, and
+    only for a line that :func:`_read` leaves to argparse: help, a usage
+    error or an unusual spelling such as ``--vars=3``."""
     parser = argparse.ArgumentParser(prog="cmccheck", description=(
         "Exact divisibility checker for constant-mean-curvature "
         "polynomial level sets"))
@@ -296,16 +297,65 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace that :func:`build_parser` gives a plain command line,
+    read straight from the command table; None for any other line.
+
+    A plain line is a known command, its positionals in order and its exact
+    long flags, each flag at most once, with a value flag's value in the
+    next word.  A word that starts with "-" but not with "--" or "-h" is a
+    value, as under ``_fill``'s matcher.  A missing or extra word, a repeated
+    flag, a failed type or choice, and any other "--" or "-h" word (help,
+    ``--flag=value``, an abbreviation, ``--``) give None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _COMMANDS[argv[0]][1] + _COMMON
+    options = {flag: kwargs for flag, kwargs in rows if flag.startswith("--")}
+    positionals = [flag for flag, _ in rows if flag not in options]
+    given: dict[str, str | bool] = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith(("--", "-h")):
+            if not positionals:
+                return None
+            given[positionals.pop(0)] = word
+        elif word not in options or word in given:
+            return None
+        elif options[word].get("action") == "store_true":
+            given[word] = True
+        else:
+            given[word] = next(words, "--")  # "--" when the line ends here
+            if given[word].startswith(("--", "-h")):
+                return None
+    args = argparse.Namespace(command=argv[0], func=_handler(argv[0]))
+    for flag, kwargs in rows:
+        store_true = kwargs.get("action") == "store_true"
+        if flag not in given:
+            if kwargs.get("required") or flag not in options:  # positionals too
+                return None
+            value = kwargs.get("default", False if store_true else None)
+        elif store_true:
+            value = True
+        else:
+            try:
+                value = kwargs.get("type", str)(given[flag])
+            except (TypeError, ValueError):
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named command's parser is built.  Top-level help, a missing or
-    # unknown command and an unknown option (which argparse reports with the
-    # top-level usage line) need the full parser.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command:
-        args, extra = build_parser(command).parse_known_args(argv[1:])
-    if not command or extra:
-        args = build_parser().parse_args(argv)
+    # A plain line is read straight from the command table.  Any other line
+    # (help, a usage error, an unusual spelling) goes to argparse unchanged,
+    # so it reads, prints and fails as before.  Nothing is kept between
+    # calls: each call reads its own line, and builds a parser only for
+    # argparse to read it.
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         result, code, lines = args.func(args)
         if args.json:

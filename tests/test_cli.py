@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmccheck
 from cmccheck import cli
@@ -171,32 +173,100 @@ def test_handler_is_looked_up_when_the_parser_is_built(capsys, monkeypatch):
         return {}, 0, lambda: ["stub ran"]
 
     monkeypatch.setattr(cli, "cmd_check", stub)
-    assert run(capsys, "check", "x1", "--vars", "3", "--hsq", "1") == (
-        0, "stub ran\n", ""
-    )
-    assert seen == [("check", "x1", 3, "1")]
+    # A plain line, then one that argparse reads.
+    for vars_ in (["--vars", "3"], ["--vars=3"]):
+        assert run(capsys, "check", "x1", *vars_, "--hsq", "1") == (
+            0, "stub ran\n", ""
+        )
+    assert seen == [("check", "x1", 3, "1")] * 2
 
 
-def test_only_the_named_command_parser_is_built(capsys, monkeypatch):
-    """A run of one command builds that command's parser alone; the full
-    parser is built only to report a usage error with its own usage line."""
-    built = []
-    build_parser = cli.build_parser
+def test_plain_lines_build_no_parser(capsys, parsers_built):
+    """A plain line is read from the command table and builds no parser;
+    help, a usage error or an unusual spelling builds the full parser,
+    once."""
+    assert run(capsys, "check", SPHERE, "--vars", "3", "--hsq", "solve", "--json")[0] == 0
+    assert run(capsys, "check", SPHERE, "--vars", "3", "--hsq", "1/2", "--json",
+               "--full")[0] == 1
+    assert run(capsys, "replay", "--n", "4", "--json")[0] == 0
+    assert parsers_built == []
+    for argv, code in [
+        (["check", "x1", "--vars", "3", "--hsq", "1", "--bogus"], 2),
+        (["-h"], 0),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert run(capsys, "check", SPHERE, "--vars=3", "--hsq", "1")[0] == 0
+    assert parsers_built == [1, 1, 1]
 
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
-    run(capsys, "check", SPHERE, "--vars", "3", "--hsq", "1")
-    run(capsys, "replay", "--n", "3", "--json")
-    assert built == ["check", "replay"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["check", "x1", "--vars", "3", "--hsq", "1", "--bogus"])
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert built == ["check", None, None]
+# Words for the differential test below: values that start with "-", fail
+# a type or a choice, or are spelled unusually, and words that look like
+# options, which may also stand where a value belongs.
+ODD_VALUES = ["-x1 + x2", "-3", "-", "", "\u0663", "3_0", "q", "cube", "4"]
+ODD_WORDS = ["--", "-h", "-hx", "--bogus", "--help", "--json", "-x1"]
+
+
+def _values(kwargs):
+    if "choices" in kwargs:
+        valid = st.sampled_from([str(c) for c in kwargs["choices"]])
+    elif kwargs.get("type") is int:
+        valid = st.integers(-2, 70).map(str)
+    else:
+        valid = st.sampled_from([SPHERE, "x1", "1/2", "solve", "3"])
+    return valid | st.sampled_from(ODD_VALUES + ODD_WORDS)
+
+
+@st.composite
+def command_lines(draw):
+    """A line of one of the seven commands, then perturbed: reordered by
+    flag or by word, a flag repeated, respelled (``--flag=value``, an
+    abbreviation), words dropped or inserted."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    rows = cli._COMMANDS[name][1] + cli._COMMON
+    units = []
+    for flag, kwargs in rows:
+        if kwargs.get("action") == "store_true":
+            units += [[flag]] if draw(st.booleans()) else []
+        elif not flag.startswith("--"):
+            units.append([draw(_values(kwargs))])
+        elif kwargs.get("required") or draw(st.booleans()):
+            units.append([flag, draw(_values(kwargs))])
+    for change in draw(st.lists(st.sampled_from(
+            ["shuffle", "scramble", "repeat", "equals", "abbreviate", "drop", "insert"]),
+            max_size=3)):
+        at = draw(st.integers(0, len(units)))
+        flags = [i for i, unit in enumerate(units)
+                 if unit[0].startswith("--") and unit[0] in dict(rows)]
+        if change == "shuffle":
+            units = draw(st.permutations(units))
+        elif change == "scramble":  # a flag may lose its value, or take a flag
+            units = [[word] for word in draw(st.permutations(sum(units, [])))]
+        elif change == "insert":
+            units.insert(at, [draw(st.sampled_from(ODD_WORDS + ODD_VALUES))])
+        elif change == "drop" and units:
+            del units[at % len(units)]
+        elif flags:
+            i = draw(st.sampled_from(flags))
+            flag, *value = units[i]
+            if change == "repeat":
+                units.insert(at, list(units[i]))
+            elif change == "equals" and value:
+                units[i] = [f"{flag}={value[0]}"]
+            elif change == "abbreviate":
+                units[i] = [flag[:draw(st.integers(3, len(flag)))], *value]
+    return [name] + [word for unit in units for word in unit]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_read_agrees_with_argparse(argv):
+    """Whenever a line is read from the command table, the full parser
+    reads it into an equal namespace (same handler included)."""
+    args = cli._read(argv)
+    if args is not None:
+        assert args == cli.build_parser().parse_args(argv)
 
 
 def test_check_json_envelope(capsys):
@@ -626,6 +696,11 @@ REFUSED_CHECKS = [
     ([SPHERE, "--vars", "3", "--hsq", "-1"], "squared mean curvature must be positive"),
     ([SPHERE, "--vars", "3", "--hsq", "0", "--json"],
      "squared mean curvature must be positive"),
+    # A polynomial with a leading minus is a value, plain and respelled.
+    (["-x1^2 - 1", "--vars", "1", "--hsq", "1"],
+     "defect needs at least two geometric variables"),
+    (["-x1^2 - 1", "--vars=1", "--hs", "1"],
+     "defect needs at least two geometric variables"),
 ]
 
 

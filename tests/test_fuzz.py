@@ -79,8 +79,10 @@ def test_parse_round_trips_grammar_sentences(case):
 def test_check_cli_never_raises(case, hsq):
     """Exit 0/1 prints a JSON envelope; exit 2 prints only an error.
 
-    A one-term input such as ``-x1`` reads as an option to argparse,
-    which exits 2 with a usage message; that exit is caught here.
+    A leading minus, as in ``-x1``, is a value: ``-x1`` prints
+    ``polynomial: -x1`` and exits 1.  Junk can make an input start with
+    ``--``, which reads as an option to argparse; argparse then exits 2
+    with a usage message, and that exit is caught here.
     """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -7,6 +7,8 @@ when the file was recorded, and standard error for the exit-2 inputs.
 per-command help, and the usage errors argparse raises itself (no
 command, an unknown command, a missing option, a bad choice, a bad int,
 an unknown option), recorded with ``COLUMNS=80``.
+Every ``golden_cli.json`` line is also replayed respelled, so that
+argparse reads it, and must give the same record.
 Refactors of the CLI and the kernel must reproduce every entry exactly;
 the files are records, so they are never regenerated to make this test
 pass.
@@ -28,9 +30,47 @@ USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text())
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
-def test_golden_cli_output(entry, capsys):
+def test_golden_cli_output(entry, capsys, parsers_built):
     code = main(list(entry["argv"]))
     captured = capsys.readouterr()
+    assert parsers_built == []  # a plain line, read without argparse
+    assert code == entry["exit_code"]
+    assert captured.out == entry["stdout"]
+    assert captured.err == entry.get("stderr", "")
+
+
+def respelled(argv, style):
+    """``argv`` with its long flags spelled as only argparse reads them:
+    ``--flag=value`` ("equals"), or each flag cut to its first two letters
+    ("prefix": ``--va``, ``--hs``, ``--js``), unique in every command."""
+    out, words = [argv[0]], iter(argv[1:])
+    for word in words:
+        if not word.startswith("--"):
+            out.append(word)
+        elif style == "prefix":
+            out.append(word[:4])
+        elif word in ("--json", "--full"):
+            out.append(word)
+        else:
+            out.append(f"{word}={next(words)}")
+    return out
+
+
+RESPELLED = [
+    (entry, style) for entry in GOLDEN for style in ("equals", "prefix")
+    if respelled(entry["argv"], style) != entry["argv"]
+]
+
+
+@pytest.mark.parametrize(
+    "entry, style", RESPELLED,
+    ids=[" ".join(respelled(e["argv"], style)) for e, style in RESPELLED],
+)
+def test_golden_cli_output_respelled(entry, style, capsys, parsers_built):
+    """The argparse path gives each valid line's recorded output too."""
+    code = main(respelled(entry["argv"], style))
+    captured = capsys.readouterr()
+    assert parsers_built == [1]
     assert code == entry["exit_code"]
     assert captured.out == entry["stdout"]
     assert captured.err == entry.get("stderr", "")
