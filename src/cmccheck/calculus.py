@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .ring import Polynomial, Rational, RingError, as_fraction
+from .ring import Polynomial, Rational, RingContext, RingError, as_fraction
 
 PolyVector = List[Polynomial]
 
@@ -32,11 +32,14 @@ def gradient(f: Polynomial) -> PolyVector:
     return [partial(f, name) for name in f.ctx.geometric_variables]
 
 
+def _divergence(ctx: RingContext, grad: PolyVector) -> Polynomial:
+    """The sum of the diagonal derivatives of ``grad``; of ``grad f`` it is
+    ``lap f``, and zero with no geometric variables."""
+    return sum(map(partial, grad, ctx.geometric_variables), Polynomial.zero(ctx))
+
+
 def laplacian(f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(f.ctx)
-    for name in f.ctx.geometric_variables:
-        out = out + partial(partial(f, name), name)
-    return out
+    return _divergence(f.ctx, gradient(f))
 
 
 def grad_norm_sq(f: Polynomial) -> Polynomial:
@@ -52,15 +55,11 @@ def dot(u: PolyVector, v: PolyVector) -> Polynomial:
 
 
 def _gns_delta1(f: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """``|grad f|^2`` and ``delta1 f`` from one gradient; ``lap f`` sums
-    its diagonal derivatives."""
+    """``|grad f|^2`` and ``delta1 f`` from one gradient."""
     ctx = f.ctx
     grad = gradient(f)
     gns = Polynomial._sum_of_products(ctx, [(g, g) for g in grad])
-    lap = Polynomial.zero(ctx)
-    for g, name in zip(grad, ctx.geometric_variables):
-        lap = lap + partial(g, name)
-    pairs = [(gns, lap * 2)]
+    pairs = [(gns, _divergence(ctx, grad) * 2)]
     pairs += zip(grad, [-g for g in gradient(gns)])
     return gns, Polynomial._sum_of_products(ctx, pairs)
 

@@ -243,11 +243,6 @@ class SweepHit:
 
 @dataclass(frozen=True)
 class SweepReport:
-    n: int
-    degree: int
-    count: int
-    coeff_bound: int
-    seed: int
     admissible: tuple[SweepHit, ...]
 
     @property
@@ -320,11 +315,4 @@ def refutation_sweep(
         if not report.divisible:
             raise RingError(f"sweep sample {i}: solved hsq {report.hsq} fails to certify")
         hits.append(SweepHit(i, f, report.hsq, report.certificate))
-    return SweepReport(
-        n=n,
-        degree=degree,
-        count=count,
-        coeff_bound=coeff_bound,
-        seed=seed,
-        admissible=tuple(hits),
-    )
+    return SweepReport(tuple(hits))

@@ -52,11 +52,11 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
 
     Returns the polynomial and its spec of atoms.  The context has
     geometric variables x1..xn (x := x1, y_i := x_{i+1}) followed by the
-    parameters a_ij (i <= j, row by row), r_i, s_i, k0, k1 and Ht, under
-    lex order.  Its exponent guard is 12, the largest exponent the replay
-    forms (x^12 in the degree-12 defect part; no parameter passes exponent
-    6), so a packed field is 5 bits wide, not 17; at a guard of 11 the
-    replay stops in its step 5.
+    parameters a_ij (i <= j, row by row), r_i, s_i, k0, k1 and Ht, so it
+    prints in lex order.  Its exponent guard is 12, the largest exponent
+    the replay forms (x^12 in the degree-12 defect part; no parameter
+    passes exponent 6), so a packed field is 5 bits wide, not 17; at a
+    guard of 11 the replay stops in its step 5.
     """
     if n < 3:
         raise RingError("generic cubic needs dimension n >= 3")
@@ -68,7 +68,7 @@ def generic_cubic(n: int) -> tuple[Polynomial, GenericCubicSpec]:
         + tuple(f"r_{i}" for i in range(1, m + 1))
         + tuple(f"s_{i}" for i in range(1, m + 1))
         + ("k0", "k1", "Ht"),
-        n, "lex", exponent_guard=12,
+        n, exponent_guard=12,
     )
     roster = iter([Polynomial.variable(ctx, name) for name in ctx.variables])
 

@@ -22,9 +22,11 @@ parenthesised factor is a :class:`Polynomial`.  Each sum adds its terms
 into one dict through the ring's summation loop,
 ``Polynomial._accumulate``, and becomes a polynomial once.
 
-:func:`to_text` prints terms leading-first under the context's monomial
-order with coefficients in lowest terms, and its output parses back to an
-equal polynomial.  It visits only the variables that occur in a monomial.
+:func:`to_text` prints terms leading-first with coefficients in lowest
+terms, and its output parses back to an equal polynomial.  It alone decides
+the print order: lex (first declared variable heaviest) for a context with
+parameters, grevlex for one without.  It visits only the variables that
+occur in a monomial.
 """
 
 from __future__ import annotations
@@ -251,6 +253,20 @@ def to_text(f: Polynomial) -> str:
     ctx, terms, den = f.ctx, f._terms, f._den
     if not terms:
         return "0"
+    if ctx.parameters:
+        # Lex: the packed ints compare in lex order.
+        monos = sorted(terms, reverse=True)
+    else:
+        # Grevlex: higher total degree first; at equal degree, the smaller
+        # exponent vector read from the last variable up (fields reversed)
+        # leads.
+        mask, last_first = ctx._mask, ctx._shifts[::-1]
+
+        def key(m: int) -> tuple[int, tuple[int, ...]]:
+            fields = tuple([(m >> s) & mask for s in last_first])
+            return -sum(fields), fields
+
+        monos = sorted(terms, key=key)
     # A monomial is read from its top set bit down, one nonzero field at a
     # time, once its degree field is shifted off; each field's ``name^e``
     # is formatted once per call.
@@ -258,7 +274,7 @@ def to_text(f: Polynomial) -> str:
     names = ctx.variables[::-1]
     powers: dict[int, str] = {}
     parts = []
-    for m in sorted(terms, key=ctx._sort_key()):
+    for m in monos:
         c = terms[m]
         parts.append(" - " if c < 0 else " + ")
         c = abs(c)

@@ -127,8 +127,6 @@ class ReplayStep:
 
 @dataclass
 class ReplayReport:
-    n: int
-    mutation: Optional[str]
     steps: list[ReplayStep] = field(default_factory=list)
     overall: str = "fail"
     delta1_expansion_matches: bool = False
@@ -263,7 +261,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
     if mutation == "cubic-part":
         f = f - x**3 + x**2 * spec.y[0]
 
-    report = ReplayReport(n=n, mutation=mutation)
+    report = ReplayReport()
     steps = report.steps
 
     try:

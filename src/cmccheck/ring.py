@@ -60,7 +60,8 @@ and raised to powers by ``_term_power`` (the one-term path of ``**``), and
 adds each sum's terms with ``Polynomial._accumulate`` before building it
 once through ``Polynomial._from_ints``.
 :func:`cmccheck.parse.to_text` renders straight from ``_terms`` and
-``_den``, sorted on ``RingContext._sort_key``: the context's print order.
+``_den``, and alone decides the print order: lex for a context with
+parameters, grevlex for one without.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import neg as _neg, or_ as _or
+from operator import or_ as _or
 from typing import (
     Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
@@ -125,14 +126,13 @@ def as_fraction(value: Rational) -> Fraction:
 class RingContext:
     """Ordered variable roster with a geometric/parameter split.
 
-    ``order`` names the monomial order used for printing and for leading
-    terms: ``"lex"`` (first declared variable most significant) or
-    ``"grevlex"``.  Division always runs under lex.
+    The roster fixes the print order: a context with parameters prints in
+    lex (first declared variable most significant), one without in
+    grevlex.  Leading terms and division always use lex.
     """
 
     variables: tuple[str, ...]
     geometric_count: int
-    order: str = "grevlex"
     exponent_guard: int = DEFAULT_EXPONENT_GUARD
 
     def __post_init__(self) -> None:
@@ -144,8 +144,6 @@ class RingContext:
             raise RingError("duplicate variable names in ring context")
         if not 0 <= self.geometric_count <= len(self.variables):
             raise RingError("geometric_count out of range")
-        if self.order not in ("grevlex", "lex"):
-            raise RingError(f"unknown monomial order: {self.order!r}")
         if self.exponent_guard < 1:
             raise RingError("exponent guard must be positive")
         # The packed layout.  These are plain attributes, not dataclass
@@ -173,7 +171,7 @@ class RingContext:
 
     @classmethod
     def geometric(cls, n: int) -> "RingContext":
-        """Context with coordinate variables x1..xn and no parameters,
+        """Context with coordinate variables x1..xn and no parameters, so
         printed in grevlex."""
         if n < 1:
             raise RingError("need at least one variable")
@@ -183,8 +181,9 @@ class RingContext:
     def with_parameters(
         cls, geometric: Sequence[str], parameters: Sequence[str]
     ) -> "RingContext":
-        """Context with the given coordinates, then parameters, printed in lex."""
-        return cls(tuple(geometric) + tuple(parameters), len(geometric), "lex")
+        """Context with the given coordinates, then parameters; printed in
+        lex, or in grevlex if ``parameters`` is empty."""
+        return cls(tuple(geometric) + tuple(parameters), len(geometric))
 
     @property
     def nvars(self) -> int:
@@ -245,21 +244,6 @@ class RingContext:
         if reduce(_or, map(self._lift.__add__, monos), 0) & self._borrow:
             for m in monos:
                 self._check_packed(m)
-
-    def _sort_key(self) -> Callable[[int], Union[int, tuple]]:
-        """Key whose ascending order is the descending ``self.order``, so
-        sorting on it puts the leading monomial first."""
-        if self.order == "lex":
-            return _neg
-        # Higher total degree first; at equal degree, the smaller exponent
-        # vector read from the last variable up (fields reversed) leads.
-        mask, last_first = self._mask, self._shifts[::-1]
-
-        def key(m: int) -> tuple[int, tuple[int, ...]]:
-            fields = tuple([(m >> s) & mask for s in last_first])
-            return -sum(fields), fields
-
-        return key
 
 
 def _check_power_bits(exponent: int, largest: int) -> None:

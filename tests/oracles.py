@@ -175,12 +175,10 @@ def lex_key(mono: tuple[int, ...]) -> tuple:
     return mono
 
 
-ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
-
-
 def raw_to_text(f: Polynomial) -> str:
-    """Canonical text rendered from ``terms()``, sorted on tuple keys."""
-    key = ORDER_KEYS[f.ctx.order]
+    """Canonical text rendered from ``terms()``, sorted on tuple keys: lex
+    for a context with parameters, grevlex for one without."""
+    key = lex_key if f.ctx.parameters else grevlex_key
     terms = sorted(f.terms(), key=lambda kv: key(kv[0]), reverse=True)
     if not terms:
         return "0"

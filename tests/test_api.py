@@ -116,7 +116,7 @@ def test_readme_library_example_runs(capsys):
 LAYOUT = {
     "_terms", "_den", "_shifts", "_units", "_mask", "_degree_mask", "_borrow",
     "_lift", "_pack", "_unpack", "_field", "_check_packed", "_check_all_packed",
-    "_sort_key", "_from_ints", "_accumulate",
+    "_from_ints", "_accumulate",
 }
 LAYOUT_MODULES = {"ring.py", "divide.py", "parse.py"}
 

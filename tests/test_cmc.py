@@ -10,6 +10,7 @@ from cmccheck.calculus import cmc_defect, delta1, grad_norm_sq, symbolic_defect
 from cmccheck.cmc import (
     IRREDUCIBILITY_WARNING,
     SINGULARITY_WARNING,
+    SweepReport,
     _random_cubics,
     check_cmc,
     make_surface,
@@ -455,8 +456,7 @@ def test_make_surface_validation():
 def test_sweep_cubics_finds_nothing():
     report = refutation_sweep(3, count=40, coeff_bound=5, seed=2026)
     assert report.admissible_count == 0
-    assert report.admissible == ()
-    assert (report.n, report.degree, report.count) == (3, 3, 40)
+    assert report == SweepReport(admissible=())
 
 
 def test_sweep_degree_two_control_all_admissible():

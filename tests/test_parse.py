@@ -125,8 +125,8 @@ def test_to_text_matches_the_reference_renderer():
     contexts = (
         CTX,
         CTXP,
-        RingContext(("x1", "x2", "x3"), 3, order="lex"),
-        RingContext(("x1", "x2", "x3", "a"), 3, order="grevlex"),
+        RingContext.with_parameters(["x1", "x2", "x3"], ["a"]),
+        RingContext.geometric(4),
     )
     for ctx in contexts:
         zero = Polynomial.zero(ctx)

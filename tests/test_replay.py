@@ -44,7 +44,8 @@ def test_replay_n3_passes_every_step():
     assert all(s.passed for s in report.steps)
     assert report.overall == "pass"
     assert report.passed
-    assert report.mutation is None
+    assert report.delta1_expansion_matches
+    assert report.delta1_expansion_residual is None
 
 
 def test_replay_n4_passes():

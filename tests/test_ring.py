@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -37,7 +38,8 @@ from oracles import (
 
 CTX3 = RingContext.geometric(3)
 CTXP = RingContext.with_parameters(["x1", "x2"], ["a", "b"])
-LEX3 = RingContext(("x1", "x2", "x3"), 3, order="lex")
+# Three coordinates and one parameter, so printed in lex.
+LEX3 = RingContext.with_parameters(["x1", "x2", "x3"], ["a"])
 
 
 def var(ctx, name):
@@ -55,9 +57,11 @@ def test_context_validation():
         RingContext(("x", "2y"), 1)
     with pytest.raises(RingError):
         RingContext(("x",), 2)
-    with pytest.raises(RingError):
-        RingContext(("x",), 1, order="degrevlex")
     assert CTX3.variables == ("x1", "x2", "x3")
+    # No print-order field: the roster decides it (see test_grevlex_order_example).
+    assert [f.name for f in dataclasses.fields(RingContext)] == [
+        "variables", "geometric_count", "exponent_guard",
+    ]
     assert CTXP.geometric_variables == ("x1", "x2")
     assert CTXP.parameters == ("a", "b")
 
@@ -103,10 +107,9 @@ def test_floats_rejected_everywhere():
 def test_grevlex_order_example():
     # x*y^2 beats x^2*z in grevlex despite equal total degree; lex puts
     # x^2*z first.
-    monos = [(1, 2, 0), (2, 0, 1)]
-    for ctx, text in (
-        (CTX3, "x1*x2^2 + x1^2*x3"),
-        (LEX3, "x1^2*x3 + x1*x2^2"),
+    for ctx, monos, text in (
+        (CTX3, [(1, 2, 0), (2, 0, 1)], "x1*x2^2 + x1^2*x3"),
+        (LEX3, [(1, 2, 0, 0), (2, 0, 1, 0)], "x1^2*x3 + x1*x2^2"),
     ):
         f = Polynomial(ctx, {m: 1 for m in monos})
         assert str(f) == text
@@ -114,7 +117,9 @@ def test_grevlex_order_example():
 
 def test_print_order_matches_the_reference_order():
     rng = random.Random(55)
-    for ctx in (CTX3, CTXP, LEX3):
+    # The replay's context (guard 12, so 5-bit fields) and the empty roster
+    # besides the 3-variable ones.
+    for ctx in (CTX3, CTXP, LEX3, generic_cubic(3)[0].ctx, RingContext((), 0)):
         for _ in range(60):
             f = random_polynomial(rng, ctx, max_degree=4, max_terms=8, allow_zero=False)
             assert str(f) == raw_to_text(f)
