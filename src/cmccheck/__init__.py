@@ -23,7 +23,7 @@ from .cubic import (
     quad_form_from_matrix,
     quad_form_to_matrix,
 )
-from .divide import DivisionResult, divide, divides
+from .divide import DivisionResult, divide
 from .parse import ParseError, parse_polynomial, to_text
 from .replay import ReplayReport, ReplayStep, replay
 from .ring import (
@@ -56,7 +56,6 @@ __all__ = [
     "cube_root_cubic_form",
     "delta1",
     "divide",
-    "divides",
     "generic_cubic",
     "grad_norm_sq",
     "gradient",

@@ -33,10 +33,13 @@ SINGULARITY_WARNING = (
 @dataclass(frozen=True)
 class CmcReport:
     hsq: Fraction
-    divisible: bool
     certificate: Optional[Polynomial]
     witness_remainder: Optional[Polynomial]
     warnings: tuple[str, ...]
+
+    @property
+    def divisible(self) -> bool:
+        return self.certificate is not None
 
 
 def _warnings_for(f: Polynomial) -> tuple[str, ...]:
@@ -90,7 +93,6 @@ def _report(
             raise RingError("zero residue modulo f, but the defect leaves a remainder")
     return CmcReport(
         hsq=hsq,
-        divisible=certificate is not None,
         certificate=certificate,
         witness_remainder=None if certificate is not None else witness,
         warnings=_warnings_for(f),
@@ -209,7 +211,9 @@ def make_surface(
 
     The expected certificates are closed forms: the sphere's defect is
     ``(256 (n-1)^2 / rsq) * (sum x_i^2)^2 * f`` and the cylinder's is
-    ``(256 / rsq) * (x1^2 + x2^2)^2 * f``.
+    ``(256 / rsq) * (x1^2 + x2^2)^2 * f``.  Both are ``256 (n-1)^2 hsq``
+    times the square of the radial sum ``f + rsq``, over the first ``n``
+    or the first 2 coordinates.
     """
     if n < 2:
         raise RingError("model surfaces need dimension n >= 2")
@@ -218,19 +222,16 @@ def make_surface(
         raise RingError("squared radius must be positive")
     ctx = RingContext.geometric(n)
     xs = [Polynomial.variable(ctx, name) for name in ctx.geometric_variables]
-    if kind == "sphere":
-        radial = dot(xs, xs)
-        f = radial - rsq
-        certificate = radial**2 * (Fraction(256) * (n - 1) ** 2 / rsq)
-        return f, Fraction(1) / rsq, certificate
-    if kind == "cylinder":
-        radial = dot(xs[:2], xs[:2])
-        f = radial - rsq
-        certificate = radial**2 * (Fraction(256) / rsq)
-        return f, Fraction(1) / ((n - 1) ** 2 * rsq), certificate
     if kind == "plane":
         return xs[0], None, None
-    raise RingError(f"unknown surface kind {kind!r}")
+    if kind == "sphere":
+        k, hsq = n, 1 / rsq
+    elif kind == "cylinder":
+        k, hsq = 2, 1 / ((n - 1) ** 2 * rsq)
+    else:
+        raise RingError(f"unknown surface kind {kind!r}")
+    radial = dot(xs[:k], xs[:k])
+    return radial - rsq, hsq, radial**2 * (256 * (n - 1) ** 2 * hsq)
 
 
 @dataclass(frozen=True)

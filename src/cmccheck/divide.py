@@ -5,8 +5,7 @@ heaviest, whatever order the ring context prints in.  For one divisor the
 remainder is then unique: no term of the remainder is divisible by the
 divisor's leading term, and ``dividend = quotient * divisor + remainder``
 exactly.  Divisibility itself does not depend on the order, so a zero
-remainder is a proof, and :func:`divides` re-multiplies the quotient to
-certify it.
+remainder is a proof.
 
 :func:`divide` takes leading terms from a heap of candidate monomials
 (Johnson 1974; Monagan & Pearce 2007, 2011) and reduces over the integer
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional
 
 from .ring import ContextMismatchError, Polynomial, RingError
 
@@ -39,13 +37,6 @@ class ZeroDivisorError(RingError):
 class DivisionResult:
     quotient: Polynomial
     remainder: Polynomial
-
-
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    divisible: bool
-    quotient: Optional[Polynomial]
-    remainder: Optional[Polynomial]
 
 
 def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
@@ -135,18 +126,3 @@ def _over_common_power(ctx, terms, levels, powers, dg) -> Polynomial:
         {m: a * powers[top - levels[m]] for m, a in terms.items()},
         powers[top] * dg,
     )
-
-
-def divides(f: Polynomial, g: Polynomial) -> DivisibilityVerdict:
-    """Does ``f`` divide ``g``?  A positive verdict carries a certificate.
-
-    The certificate quotient is re-multiplied against the divisor before
-    the verdict is reported, so a True answer never rests on the division
-    routine alone.
-    """
-    result = divide(g, f)
-    if result.remainder.is_zero:
-        if result.quotient * f != g:
-            raise RingError("division produced an inconsistent certificate")
-        return DivisibilityVerdict(True, result.quotient, None)
-    return DivisibilityVerdict(False, None, result.remainder)

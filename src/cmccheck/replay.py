@@ -83,7 +83,7 @@ x-axis identity catches it with residual ``2592 trace(A)^2 x^8``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .calculus import _gns_delta1, dot
@@ -115,26 +115,35 @@ STEPS = (
 @dataclass(frozen=True)
 class ReplayStep:
     name: str
-    status: str  # "pass" | "fail"
     residual: Optional[Polynomial] = None
     witness: Optional[Polynomial] = None
     detail: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.residual is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayReport:
-    steps: list[ReplayStep] = field(default_factory=list)
-    overall: str = "fail"
-    delta1_expansion_matches: bool = False
-    delta1_expansion_residual: Optional[Polynomial] = None
+    steps: tuple[ReplayStep, ...]
+    delta1_expansion_residual: Optional[Polynomial]
 
     @property
     def passed(self) -> bool:
-        return self.overall == "pass"
+        return all(s.passed for s in self.steps)
+
+    @property
+    def overall(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    @property
+    def delta1_expansion_matches(self) -> bool:
+        return self.delta1_expansion_residual is None
 
     def step(self, name: str) -> ReplayStep:
         for s in self.steps:
@@ -192,8 +201,7 @@ def _step(steps: list[ReplayStep], residual: Polynomial, detail: str,
           witness: Optional[Polynomial] = None) -> None:
     """Append the record of the next step, named ``STEPS[len(steps)]``,
     which passes exactly when its residual is zero."""
-    status = "fail" if residual else "pass"
-    steps.append(ReplayStep(STEPS[len(steps)], status, residual or None, witness, detail))
+    steps.append(ReplayStep(STEPS[len(steps)], residual or None, witness, detail))
 
 
 def _piece(k: int, e: int) -> tuple[int, int]:
@@ -261,8 +269,7 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
     if mutation == "cubic-part":
         f = f - x**3 + x**2 * spec.y[0]
 
-    report = ReplayReport()
-    steps = report.steps
+    steps: list[ReplayStep] = []
 
     try:
         zero = Polynomial.zero(ctx)
@@ -391,12 +398,8 @@ def replay(n: int, mutation: Optional[str] = None) -> ReplayReport:
         # a mismatch is recorded out of band and never fails the chain,
         # which relies solely on the step-2 congruence.
         expansion_residual = d1_rest - _expected_delta1_rest(spec)
-        report.delta1_expansion_matches = expansion_residual.is_zero
-        report.delta1_expansion_residual = expansion_residual or None
     except ExponentLimitError as exc:
         name = (*STEPS, "delta1-expansion")[len(steps)]
         raise ExponentLimitError(f"step {name}: {exc}") from exc
 
-    if all(s.passed for s in steps):
-        report.overall = "pass"
-    return report
+    return ReplayReport(tuple(steps), expansion_residual or None)

@@ -36,7 +36,6 @@ SURFACE = [
     "cube_root_cubic_form",
     "delta1",
     "divide",
-    "divides",
     "generic_cubic",
     "grad_norm_sq",
     "gradient",

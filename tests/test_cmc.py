@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import islice
@@ -17,7 +18,7 @@ from cmccheck.cmc import (
     refutation_sweep,
     solve_hsq,
 )
-from cmccheck.divide import DivisionResult, divide, divides
+from cmccheck.divide import DivisionResult, divide
 from cmccheck.parse import parse_polynomial, to_text
 from cmccheck.ring import Polynomial, RingContext, RingError
 from oracles import (
@@ -64,6 +65,9 @@ def test_plane_has_no_admissible_curvature():
         report = check_cmc(f, trial)
         assert not report.divisible
         assert cmc_defect(f, trial).total_degree() == 0
+    # The verdict is read off the certificate, not stored beside it.
+    assert [field.name for field in dataclasses.fields(report)] == [
+        "hsq", "certificate", "witness_remainder", "warnings"]
 
 
 def test_warnings_only_on_nonlinear_inputs():
@@ -284,10 +288,13 @@ def test_check_cmc_matches_dividing_the_whole_defect():
     verdicts = set()
     for f, hsq in _check_cmc_cases(rng):
         report = check_cmc(f, hsq)
-        expected = divides(f, cmc_defect(f, hsq))
-        assert report.divisible == expected.divisible, (f, hsq)
-        assert report.certificate == expected.quotient, (f, hsq)
-        assert report.witness_remainder == expected.remainder, (f, hsq)
+        defect = cmc_defect(f, hsq)
+        expected = divide(defect, f)
+        assert expected.quotient * f + expected.remainder == defect, (f, hsq)
+        divisible = expected.remainder.is_zero
+        assert report.divisible == divisible, (f, hsq)
+        assert report.certificate == (expected.quotient if divisible else None), (f, hsq)
+        assert report.witness_remainder == (None if divisible else expected.remainder), (f, hsq)
         verdicts.add(report.divisible)
     assert verdicts == {True, False}
 

@@ -1,17 +1,15 @@
 import random
-import sys
 
 import pytest
 from fractions import Fraction
 
-from cmccheck.divide import DivisionResult, ZeroDivisorError, divide, divides
+from cmccheck.divide import ZeroDivisorError, divide
 from cmccheck.parse import parse_polynomial
 from cmccheck.ring import (
     ContextMismatchError,
     ExponentLimitError,
     Polynomial,
     RingContext,
-    RingError,
 )
 from oracles import (
     check_certificates,
@@ -57,7 +55,7 @@ def test_remainder_uniqueness_randomized():
     check_remainder_uniqueness(random.Random(34), CTXP, 80)
 
 
-def test_divides_certificates_randomized():
+def test_divide_certificates_randomized():
     check_certificates(random.Random(35), CTX, 100)
 
 
@@ -194,37 +192,14 @@ def test_monic_division_commutes_with_specialization():
         assert again.quotient == qs and again.remainder == rs
 
 
-def test_divides_negative_verdict_carries_witness():
-    verdict = divides(parse("x1 - x2"), parse("x1 + x2"))
-    assert not verdict.divisible
-    assert verdict.quotient is None
-    assert verdict.remainder is not None and not verdict.remainder.is_zero
-
-
-def test_divides_known_quotients():
+def test_divide_known_quotients():
     ctx = RingContext.with_parameters(["x1", "x2"], ["Ht"])
     x = Polynomial.variable(ctx, "x1")
     ht = Polynomial.variable(ctx, "Ht")
     big = ht**2 * x**12 * 729
-    verdict = divides(x**3, big)
-    assert verdict.divisible
-    assert verdict.quotient == ht**2 * x**9 * 729
-
-
-def test_divides_refuses_a_wrong_quotient_with_a_zero_remainder(monkeypatch):
-    """``divides`` re-multiplies the quotient: a division routine that
-    returns a wrong quotient beside a zero remainder is caught, not
-    reported as divisible."""
-    f, h = parse("x1^2 + x2 - 1"), parse("x1*x3 + 2")
-
-    def wrong(g, f):
-        result = divide(g, f)
-        return DivisionResult(result.quotient + 1, result.remainder)
-
-    # The package re-exports the function ``divide`` under the module's name.
-    monkeypatch.setattr(sys.modules["cmccheck.divide"], "divide", wrong)
-    with pytest.raises(RingError, match="inconsistent certificate"):
-        divides(f, f * h)
+    res = divide(big, x**3)
+    assert res.remainder.is_zero
+    assert res.quotient == ht**2 * x**9 * 729
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTXP], ids=["geometric", "parameters"])
@@ -240,5 +215,3 @@ def test_one_term_divisors(ctx):
         assert res.quotient * f + res.remainder == g
         for mono in res.remainder.monomials():
             assert not all(e >= k for e, k in zip(mono, lead))
-        if res.remainder.is_zero:
-            assert divides(f, g).quotient == res.quotient

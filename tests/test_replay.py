@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import math
 import random
@@ -17,7 +18,7 @@ from cmccheck.cubic import (
     quad_form_from_matrix,
     quad_form_to_matrix,
 )
-from cmccheck.divide import divides
+from cmccheck.divide import divide
 from cmccheck.parse import to_text
 from cmccheck.replay import MUTATIONS, _expected_delta1_rest, replay
 from cmccheck.ring import (
@@ -181,7 +182,7 @@ def test_specialized_cubics_never_divide_their_defect():
         gs = gradsq.substitute(values)
         ds = d1.substitute(values)
         defect = gs**3 * ht**2 - ds * ds
-        assert not divides(fs, defect).divisible
+        assert not divide(defect, fs).remainder.is_zero
 
 
 def test_replay_reports_are_self_contained():
@@ -189,6 +190,15 @@ def test_replay_reports_are_self_contained():
     for step in report.steps:
         assert step.status in ("pass", "fail")
         assert step.detail != "" or step.residual is not None
+    # Each stored field decides something no other field does; the
+    # verdicts are read off the residuals.
+    assert [field.name for field in dataclasses.fields(step)] == [
+        "name", "residual", "witness", "detail"]
+    assert [field.name for field in dataclasses.fields(report)] == [
+        "steps", "delta1_expansion_residual"]
+    assert isinstance(report.steps, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.steps = ()
 
 
 # ``cmccheck.replay`` the attribute is the function; this is the module.
@@ -369,7 +379,7 @@ STEP5_PATHS = {
 
 
 def test_graded_replay_matches_a_full_product_reference(monkeypatch):
-    # ReplayStep equality compares name, status, residual, witness, detail.
+    # ReplayStep equality compares name, residual, witness, detail.
     # The reference multiplies whole sums and forms the degree-8 part whole.
     for n in (3, 4):
         for mutation, path in STEP5_PATHS.items():
