@@ -192,6 +192,16 @@ def test_monic_division_commutes_with_specialization():
         assert again.quotient == qs and again.remainder == rs
 
 
+def test_divide_negative_result_carries_witness():
+    g, f = parse("x1 - x2"), parse("x1 + x2")
+    res = divide(g, f)
+    assert not res.remainder.is_zero
+    assert res.quotient * f + res.remainder == g
+    lead = max(f.monomials())  # the lex leading monomial
+    for mono in res.remainder.monomials():
+        assert not all(e >= k for e, k in zip(mono, lead))
+
+
 def test_divide_known_quotients():
     ctx = RingContext.with_parameters(["x1", "x2"], ["Ht"])
     x = Polynomial.variable(ctx, "x1")

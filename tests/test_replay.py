@@ -18,7 +18,7 @@ from cmccheck.cubic import (
     quad_form_from_matrix,
     quad_form_to_matrix,
 )
-from cmccheck.divide import divide
+from cmccheck.divide import DivisionResult, divide
 from cmccheck.parse import to_text
 from cmccheck.replay import MUTATIONS, _expected_delta1_rest, replay
 from cmccheck.ring import (
@@ -62,6 +62,19 @@ def test_cascade_witness_is_the_top_coefficient():
     x = Polynomial.variable(ctx, "x1")
     ht = Polynomial.variable(ctx, "Ht")
     assert report.step("cascade-division").witness == ht**2 * x**9 * 729
+
+
+def test_cascade_refuses_a_wrong_quotient_with_a_zero_remainder(monkeypatch):
+    """The cascade re-multiplies each quotient: a division routine that
+    returns a wrong quotient beside its remainder is caught, not read as
+    the next coefficient."""
+    def wrong(g, f):
+        result = divide(g, f)
+        return DivisionResult(result.quotient + 1, result.remainder)
+
+    monkeypatch.setattr(replay_module, "divide", wrong)
+    with pytest.raises(RingError, match="inconsistent identity"):
+        replay(3)
 
 
 def test_obstruction_witness_is_the_quartic_power():
