@@ -33,8 +33,8 @@ TERM_CAP = 200
 # modulo f (``check --hsq solve`` on a cubed dense linear form plus a dense
 # quadratic takes 0.6 to 0.8 s and 27 MB at n = 8, 1.9 s and 39 MB at
 # n = 9, 4.2 s and 55 MB at n = 10, as a process on a 2-core Intel Xeon);
-# ``replay --n 10`` takes 1.3 to 1.5 s with ``--json`` and 0.5 s as text,
-# 97 MB either way, there.  The sweep count bounds the hits a sweep keeps
+# ``replay --n 10`` takes 1.3 to 1.8 s with ``--json`` and 0.5 to 0.7 s as
+# text, 97 MB either way, there.  The sweep count bounds the hits a sweep keeps
 # (about 5 KB each at degree 2):
 # ``sweep --n 8 --count 1000`` takes at most 6.1 s and 21 MB there.
 MAX_VARS = 64

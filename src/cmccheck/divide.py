@@ -52,8 +52,8 @@ def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
     lead_f = max(f._terms)
 
     # Divide G = dg*g by F = df*f (numerators only); then q = Q*df/dg and
-    # r = R/dg.  A working term stands for ``work[m] / L**level[m]``, where
-    # L is F's leading coefficient.  F's leading term is left out of
+    # r = R/dg.  A working term ``work[m] = (a, k)`` stands for ``a / L**k``,
+    # where L is F's leading coefficient.  F's leading term is left out of
     # ``ftems``: it cancels each lead exactly.
     dg, df = g._den, f._den
     powers = [1, f._terms[lead_f]]
@@ -70,21 +70,17 @@ def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
         return DivisionResult(Polynomial._from_ints(ctx, quotient, powers[1] * dg),
                               Polynomial._from_ints(ctx, remainder, dg))
     ftems = [(m, c) for m, c in f._terms.items() if m != lead_f]
-    work = dict(g._terms)
-    level = dict.fromkeys(work, 0)
+    work = {m: (a, 0) for m, a in g._terms.items()}
     # Every monomial in ``work`` has exactly one heap entry; a term that
     # cancels stays in ``work`` with numerator 0 and is skipped when popped.
     heap = [-m for m in work]
     heapify(heap)
-    # Quotient and remainder numerators, each with its power of L.
-    quotient: dict[int, int] = {}
-    qlevel: dict[int, int] = {}
-    remainder: dict[int, int] = {}
-    rlevel: dict[int, int] = {}
+    # Quotient and remainder terms, each a numerator with its power of L.
+    quotient: dict[int, tuple[int, int]] = {}
+    remainder: dict[int, tuple[int, int]] = {}
     while heap:
         lead = -heappop(heap)
-        a = work.pop(lead)
-        k = level.pop(lead)
+        a, k = work.pop(lead)
         if not a:
             continue
         # Every monomial built below is a checked lead plus an in-guard
@@ -92,37 +88,35 @@ def divide(g: Polynomial, f: Polynomial) -> DivisionResult:
         ctx._check_packed(lead)
         qm = lead - lead_f
         if qm & borrow:
-            remainder[lead] = a
-            rlevel[lead] = k
+            remainder[lead] = a, k
             continue
         k += 1
         if k == len(powers):
             powers.append(powers[-1] * powers[1])
-        quotient[qm] = a * df
-        qlevel[qm] = k
+        quotient[qm] = a * df, k
         for m, c in ftems:
             mm = qm + m
-            j = level.get(mm)
-            if j is None:
+            term = work.get(mm)
+            if term is None:
                 heappush(heap, -mm)
-                work[mm] = -a * c
-                level[mm] = k
-            elif j < k:
-                work[mm] = work[mm] * powers[k - j] - a * c
-                level[mm] = k
+                work[mm] = -a * c, k
+                continue
+            b, j = term
+            if j < k:
+                work[mm] = b * powers[k - j] - a * c, k
             else:
-                work[mm] -= a * c * powers[j - k]
+                work[mm] = b - a * c * powers[j - k], j
     return DivisionResult(
-        _over_common_power(ctx, quotient, qlevel, powers, dg),
-        _over_common_power(ctx, remainder, rlevel, powers, dg),
+        _over_common_power(ctx, quotient, powers, dg),
+        _over_common_power(ctx, remainder, powers, dg),
     )
 
 
-def _over_common_power(ctx, terms, levels, powers, dg) -> Polynomial:
-    """Sum of ``terms[m] / (L**levels[m] * dg)``, over the largest power."""
-    top = max((levels[m] for m in terms), default=0)
+def _over_common_power(ctx, terms, powers, dg) -> Polynomial:
+    """Sum of ``a / (L**k * dg)`` over ``terms[m] = (a, k)``, over the largest power."""
+    top = max((k for _, k in terms.values()), default=0)
     return Polynomial._from_ints(
         ctx,
-        {m: a * powers[top - levels[m]] for m, a in terms.items()},
+        {m: a * powers[top - k] for m, (a, k) in terms.items()},
         powers[top] * dg,
     )

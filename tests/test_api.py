@@ -4,9 +4,11 @@ API rule and the modules that may read the packed layout.
 The API rule (ROADMAP item 9): every public function, class, method and
 property in ``src/cmccheck`` is read outside its own definition, in
 ``src/``, in ``bench/``, or in ``tests/test_acceptance.py`` and
-``tests/oracles.py``.  A method or property counts only when it is read as
-an attribute.  The ``cmd_*`` handlers are exempt: the parser dispatches
-them by name.
+``tests/oracles.py``.  A read is an attribute load of the name, or a
+bare-name load in a file that binds the name by ``from ... import`` or by a
+top-level ``def`` or ``class``; a local variable that shares the name is no
+read.  A method or property counts only when it is read as an attribute.
+The ``cmd_*`` handlers are exempt: the parser dispatches them by name.
 """
 
 import ast
@@ -75,13 +77,27 @@ def _public_definitions(tree):
                         yield item.name, f"{node.name}.{item.name}", item
 
 
+def _bound_names(tree):
+    """The names a module binds by ``from ... import`` or by a top-level
+    ``def`` or ``class``: the only names whose bare loads count as reads."""
+    bound = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
 def test_every_public_name_is_read_outside_its_definition():
     """The API rule of the module docstring, read by name: a read of a
     method is any attribute read of that name."""
     names, attrs = {}, {}
     for path in READERS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        tree = ast.parse(path.read_text())
+        bound = _bound_names(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in bound):
                 names.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.setdefault(node.attr, []).append((path, node.lineno))

@@ -7,6 +7,7 @@ from cmccheck.calculus import (
     _gns_delta1,
     cmc_defect,
     delta1,
+    dot,
     grad_norm_sq,
     gradient,
     laplacian,
@@ -82,6 +83,16 @@ def test_sphere_operators():
     assert laplacian(f) == Polynomial.constant(CTX3, 6)
     assert grad_norm_sq(f) == radial(CTX3) * 4
     assert delta1(f) == radial(CTX3) * 32  # 16 (n-1) |x|^2 at n = 3
+
+
+def test_dot_products():
+    f = radial(CTX3) - 1
+    assert dot(gradient(f), gradient(f)) == grad_norm_sq(f)
+    x1 = var(CTX3, "x1")
+    with pytest.raises(RingError, match="^dot product needs vectors of equal length$"):
+        dot((x1, x1), (x1,))
+    with pytest.raises(RingError, match="^dot product of empty vectors is undefined$"):
+        dot((), ())
 
 
 def test_cylinder_operators():

@@ -12,6 +12,7 @@ import cmccheck
 from cmccheck import cli
 from cmccheck.cli import TERM_CAP, _clip, main
 from cmccheck.parse import to_text
+from cmccheck.replay import replay
 from cmccheck.ring import Polynomial, RingContext
 
 SPHERE = "x1^2 + x2^2 + x3^2 - 1"
@@ -423,7 +424,7 @@ def test_each_sweep_sample_forms_the_residues_once(capsys, monkeypatch):
     assert len(calls) == 5
 
 
-def test_replay_command(capsys):
+def test_replay_command(capsys, monkeypatch):
     code, out, _ = run(capsys, "replay", "--n", "3")
     assert code == 0
     assert "overall: pass" in out
@@ -432,6 +433,14 @@ def test_replay_command(capsys):
     code, _, err = run(capsys, "replay", "--n", "2")
     assert code == 2
     assert "error:" in err
+    # A failing chain prints a residual line under each failing step.
+    monkeypatch.setattr(cli, "replay", lambda n: replay(n, "cubic-part"))
+    code, out, _ = run(capsys, "replay", "--n", "3")
+    lines = out.splitlines()
+    failing = [i for i, line in enumerate(lines) if line.startswith("step ") and ": fail" in line]
+    residuals = [i for i, line in enumerate(lines) if line.startswith("  residual: ")]
+    assert code == 1 and lines[-1] == "overall: fail"
+    assert len(failing) == 8 and residuals == [i + 1 for i in failing]
 
 
 def test_replay_json_shape(capsys):
@@ -678,6 +687,7 @@ def test_closed_stdout_exits_quietly_with_the_command_code():
 # The command line's exit code 2 and stderr on the inputs the library
 # refuses (tests/test_cmc.py pins the library's messages on the same ones).
 REFUSED_CHECKS = [
+    (["x1", "--vars", "0", "--hsq", "1"], "--vars must be at least 1"),
     (["5", "--vars", "3", "--hsq", "1"], "input polynomial must be nonconstant"),
     (["0", "--vars", "3", "--hsq", "1"], "input polynomial must be nonconstant"),
     (["5", "--vars", "3", "--hsq", "solve"], "input polynomial must be nonconstant"),

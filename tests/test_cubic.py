@@ -258,6 +258,8 @@ def test_quad_form_rejections():
         quad_form_from_matrix(SymMatrix(((1, 0), (0, 1))), ["x1", "x1"], CTX2)
     with pytest.raises(RingError, match=f"^{REPEATED}$"):
         quad_form_from_matrix(SymMatrix(((1,),)), ["x1", "x1"], CTX2)
+    with pytest.raises(RingError, match="^variable list does not match matrix size$"):
+        quad_form_from_matrix(SymMatrix(((1, 0), (0, 1))), ["x1"], CTX2)
 
 
 def test_equal_quad_forms_raise_the_same_error():

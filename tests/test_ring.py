@@ -57,6 +57,10 @@ def test_context_validation():
         RingContext(("x", "2y"), 1)
     with pytest.raises(RingError):
         RingContext(("x",), 2)
+    with pytest.raises(RingError, match="^exponent guard must be positive$"):
+        RingContext(("x",), 1, exponent_guard=0)
+    with pytest.raises(RingError, match="^need at least one variable$"):
+        RingContext.geometric(0)
     assert CTX3.variables == ("x1", "x2", "x3")
     # No print-order field: the roster decides it (see test_grevlex_order_example).
     assert [f.name for f in dataclasses.fields(RingContext)] == [
@@ -128,6 +132,7 @@ def test_print_order_matches_the_reference_order():
 def test_sorted_terms_deterministic():
     f = var(CTX3, "x3") + var(CTX3, "x1") * var(CTX3, "x2") + 5
     assert str(f) == "x1*x2 + x3 + 5"
+    assert repr(var(CTX3, "x1")) == "Polynomial(x1)"
 
 
 def test_coefficient_rejects_malformed_monomials():
@@ -157,12 +162,18 @@ def test_scalar_coercion_both_sides():
     # No ``/``: scalars divide by multiplying with a Fraction.
     with pytest.raises(TypeError):
         x / 2
+    # A string is no scalar: arithmetic refuses it, and it equals no polynomial.
+    for operation in (lambda: x + "a", lambda: "a" - x, lambda: x * "a"):
+        with pytest.raises(TypeError):
+            operation()
+    assert (x == "a") is False
 
 
 def test_degree_and_sentinels():
     zero = Polynomial.zero(CTX3)
     assert zero.total_degree() == -math.inf
     assert zero.total_degree() < 0
+    assert zero.degree_in("x1") == -math.inf
     assert Polynomial.constant(CTX3, 7).total_degree() == 0
     f = var(CTX3, "x1") ** 2 * var(CTX3, "x2")
     assert f.total_degree() == 3
